@@ -57,12 +57,17 @@ def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
 
 
 def _scatter(g: WeightedGraph, idx: np.ndarray, term: np.ndarray, shape) -> np.ndarray:
-    """Deterministic accumulation of per-edge terms onto vertices."""
+    """Deterministic accumulation of per-edge terms onto vertices.
+
+    A batch is one bincount over flattened (vertex, column) keys, so each
+    column sums in edge order exactly as its 1-D scatter would.
+    """
     if term.ndim == 1:
         return np.bincount(idx, weights=term, minlength=shape[0])
-    out = np.zeros(shape, dtype=float)
-    np.add.at(out, idx, term)
-    return out
+    k = term.shape[1]
+    keys = (idx[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(keys, weights=term.ravel(),
+                       minlength=shape[0] * k).reshape(shape)
 
 
 def _scatter_both(g: WeightedGraph, term: np.ndarray, shape) -> np.ndarray:

@@ -3,7 +3,11 @@
 Strategy: multistart gradient descent with Armijo backtracking drives each
 random start into a basin; once the residual is small a damped Newton polish
 (finite-difference Hessian, Levenberg damping) finishes to the target
-tolerance.  Additional critical points, including saddle-type ones, come
+tolerance.  Every Newton Jacobian and Hessian is a compressed central
+difference: a residual row depends only on coordinates within m hops of its
+vertex (m + 1 for odd m), so columns that share no row are perturbed
+together, one greedy colour group per residual pair, with the same values
+as one column at a time.  Additional critical points, including saddle-type ones, come
 from Newton iterations on the deflated residual
 
     R(z) = G(z) * prod_k (1 / ||z - z_k||^power + shift),
@@ -131,29 +135,101 @@ def _sup(res: np.ndarray) -> float:
     return val if np.isfinite(val) else np.inf
 
 
-def _fd_jacobian(fn, z: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, one column per coordinate."""
-    n = len(z)
-    cols = np.empty((n, n))
-    for j in range(n):
+def _hops(m: int) -> int:
+    """Reach of an order-m residual row: L_{m,p} couples vertices m hops
+    apart for even m and m + 1 hops apart for odd m (the coefficient
+    |grad D^k u|^(p-2) reaches one hop past the gradient)."""
+    return m if m % 2 == 0 else m + 1
+
+
+def _balls(g, radius: int) -> list[np.ndarray]:
+    """Vertices within `radius` hops of each vertex, by breadth-first search
+    over the edge list."""
+    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for a, b in g.edge_index.tolist():
+        adj[a].append(b)
+        adj[b].append(a)
+    out = []
+    for x in range(g.n_vertices):
+        seen, frontier = {x}, [x]
+        for _ in range(radius):
+            frontier = list(dict.fromkeys(y for f in frontier for y in adj[f]
+                                          if y not in seen))
+            seen.update(frontier)
+        out.append(np.array(sorted(seen), dtype=np.intp))
+    return out
+
+
+def _sparsity(prob: Problem) -> list[np.ndarray]:
+    """Row i of the result lists the coordinates residual row i depends on.
+
+    Each component couples within its operator's reach; the coupled system
+    adds the same-vertex (u_x, v_x) entries, which hold for any pointwise
+    nonlinearity.
+    """
+    g = prob.graph
+    if isinstance(prob, ScalarProblem):
+        return _balls(g, _hops(prob.m))
+    n = g.n_vertices
+    rows_u = _balls(g, _hops(prob.m1))
+    rows_v = _balls(g, _hops(prob.m2))
+    return ([np.append(rows_u[x], n + x) for x in range(n)]
+            + [np.insert(n + rows_v[x], 0, x) for x in range(n)])
+
+
+def _colour_columns(pattern: list[np.ndarray]) -> np.ndarray:
+    """Greedy colouring of the column-intersection graph in column order:
+    columns that share a row get different colours.  The pattern is
+    symmetric, so column j enters exactly the rows pattern[j]."""
+    colour = np.full(len(pattern), -1, dtype=np.intp)
+    for j, rows in enumerate(pattern):
+        taken = set(colour[np.concatenate([pattern[i] for i in rows])].tolist())
+        c = 0
+        while c in taken:
+            c += 1
+        colour[j] = c
+    return colour
+
+
+# One (perturbed columns, entry rows, entry columns) triple per colour group.
+_Groups = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _jacobian_groups(prob: Problem) -> _Groups:
+    pattern = _sparsity(prob)
+    colour = _colour_columns(pattern)
+    row_idx = np.repeat(np.arange(len(pattern)), [len(c) for c in pattern])
+    col_idx = np.concatenate(pattern)
+    groups = []
+    for c in range(int(colour.max()) + 1):
+        entries = colour[col_idx] == c
+        groups.append((np.flatnonzero(colour == c), row_idx[entries], col_idx[entries]))
+    return groups
+
+
+def _fd_jacobian(fn, z: np.ndarray, h: float, groups: _Groups) -> np.ndarray:
+    """Central-difference Jacobian of a vector map, compressed by column
+    groups (Curtis, Powell & Reid 1974): no two columns of a group share a
+    row, so one residual pair per group recovers all of its columns, bit for
+    bit as if each were perturbed alone."""
+    jac = np.zeros((len(z), len(z)))
+    for cols, rows, entry_cols in groups:
         zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        cols[:, j] = (fn(zp) - fn(zm)) / (2.0 * h)
-    return cols
+        zp[cols] += h
+        zm[cols] -= h
+        diff = (fn(zp) - fn(zm)) / (2.0 * h)
+        jac[rows, entry_cols] = diff[rows]
+    return jac
 
 
-def _hessian(prob: Problem, lam: float, z: np.ndarray) -> np.ndarray:
+def _hessian(prob: Problem, lam: float, z: np.ndarray, groups: _Groups) -> np.ndarray:
     h = FD_SCALE * (1.0 + float(np.linalg.norm(z)))
-    jac = _fd_jacobian(lambda y: prob.gradient_vec(lam, y), z, h)
+    jac = _fd_jacobian(lambda y: prob.gradient_vec(lam, y), z, h, groups)
     return 0.5 * (jac + jac.T)
 
 
-def _classify(prob: Problem, lam: float, z: np.ndarray,
-              hess: Optional[np.ndarray] = None) -> str:
-    if hess is None:
-        hess = _hessian(prob, lam, z)
-    eig_min = float(np.min(np.linalg.eigvalsh(hess)))
+def _classify(prob: Problem, lam: float, z: np.ndarray, groups: _Groups) -> str:
+    eig_min = float(np.min(np.linalg.eigvalsh(_hessian(prob, lam, z, groups))))
     return "saddle" if eig_min < -1e-6 else "minimizer"
 
 
@@ -164,13 +240,13 @@ class _RawPoint:
     residual_sup: float
     iterations: int
     converged: bool
-    hess: Optional[np.ndarray] = None
 
 
-def _finalize(prob: Problem, lam: float, raw: _RawPoint) -> CriticalPoint:
+def _finalize(prob: Problem, lam: float, raw: _RawPoint, groups: _Groups) -> CriticalPoint:
+    """Label with the Hessian at the returned point itself."""
     kind = "unclassified"
     if raw.converged:
-        kind = _classify(prob, lam, raw.z, raw.hess)
+        kind = _classify(prob, lam, raw.z, groups)
     return CriticalPoint(
         state=prob.unpack_state(raw.z),
         action_value=raw.action,
@@ -192,7 +268,8 @@ def _diverged(prob: Problem, lam: float, z: np.ndarray, iters: int) -> _RawPoint
 DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polish
 
 
-def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig) -> _RawPoint:
+def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
+                groups: _Groups) -> _RawPoint:
     z = np.asarray(z0, dtype=float).copy()
     mu = _mu_stack(prob)
     iters = 0
@@ -234,11 +311,11 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig) ->
             iters += 1
             if a_val < DIVERGE_ACTION or float(np.max(np.abs(z))) > DIVERGE_NORM:
                 return _diverged(prob, lam, z, iters)
-        return _newton_polish(prob, lam, z, cfg, iters)
+        return _newton_polish(prob, lam, z, cfg, iters, groups)
 
 
 def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
-                   cfg: SolverConfig, iters: int) -> _RawPoint:
+                   cfg: SolverConfig, iters: int, groups: _Groups) -> _RawPoint:
     """Levenberg-damped Newton on the gradient, polishing to the tolerance.
 
     Once below the acceptance tolerance it keeps stepping only while each
@@ -246,7 +323,6 @@ def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
     machine precision without spinning at a noise floor.
     """
     nu = 1e-6
-    hess = None
     target_soft = 0.3 * cfg.grad_tol
     target_hard = max(1e-4 * cfg.grad_tol, 1e-15)
     stalls = 0
@@ -257,7 +333,7 @@ def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
         while rsup > target_hard and iters < cfg.max_iters and stalls < 3:
             if rsup <= target_soft and not fast:
                 break
-            hess = _hessian(prob, lam, z)
+            hess = _hessian(prob, lam, z, groups)
             grad = _mu_stack(prob) * res
             moved = False
             for _ in range(25):
@@ -280,7 +356,7 @@ def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
             iters += 1
         act = prob.action_vec(lam, z)
     return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,
-                     converged=rsup <= cfg.grad_tol, hess=hess)
+                     converged=rsup <= cfg.grad_tol)
 
 
 def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> CriticalPoint:
@@ -292,8 +368,9 @@ def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> Crit
     """
     lam = _check_lam(lam)
     _check_problem(prob)
-    raw = _minimize_z(prob, lam, prob.pack_state(start), cfg)
-    return _finalize(prob, lam, raw)
+    groups = _jacobian_groups(prob)
+    raw = _minimize_z(prob, lam, prob.pack_state(start), cfg, groups)
+    return _finalize(prob, lam, raw, groups)
 
 
 def residual(prob: Problem, lam: float, state: State) -> float:
@@ -322,7 +399,7 @@ def _deflation_factor(z: np.ndarray, knowns: Sequence[np.ndarray],
 
 
 def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
-                     z0: np.ndarray, cfg: SolverConfig) -> _RawPoint:
+                     z0: np.ndarray, cfg: SolverConfig, groups: _Groups) -> _RawPoint:
     z = np.asarray(z0, dtype=float).copy()
     nu = 1e-6
     cap = min(cfg.max_iters, 200)
@@ -340,7 +417,7 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
             if _sup(res) <= target_soft and not fast:
                 break
             h = h_base * (1.0 + float(np.linalg.norm(z)))
-            jac_g = _fd_jacobian(lambda y: prob.residual_vec(lam, y), z, h)
+            jac_g = _fd_jacobian(lambda y: prob.residual_vec(lam, y), z, h, groups)
             jac = m * jac_g + np.outer(res, dm)
             rhs = -defres
             moved = False
@@ -389,13 +466,14 @@ def deflated_solve(prob: Problem, lam: float, known: Sequence[State],
     for zk in knowns:
         if prob.wnorm_vec(z0 - zk) <= cfg.distinct_tol:
             raise ConvergedToKnown("start lies within distinct_tol of a known point")
-    raw = _deflated_newton(prob, lam, knowns, z0, cfg)
+    groups = _jacobian_groups(prob)
+    raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
     if raw.converged:
         for zk in knowns:
             if prob.wnorm_vec(raw.z - zk) <= cfg.distinct_tol:
                 raise ConvergedToKnown(
                     "deflated iteration converged to an already-known point")
-    return _finalize(prob, lam, raw)
+    return _finalize(prob, lam, raw, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +505,12 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     _check_problem(prob)
     radius = float(start_radius) if start_radius is not None else 1.0 + prob.start_scale
 
+    groups = _jacobian_groups(prob)
     indices = range(cfg.starts + 1)  # index 0 is the deterministic origin start
 
     def run(i: int) -> _RawPoint:
-        return _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius), cfg)
+        return _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius), cfg,
+                          groups)
 
     workers = _thread_cap()
     if workers > 1:
@@ -457,14 +537,14 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
         z0 = base + _perturbation(cfg, attempt, prob.n_dofs, scale * radius)
         attempt += 1
         knowns = [a.z for a in accepted]
-        raw = _deflated_newton(prob, lam, knowns, z0, cfg)
+        raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
         if not raw.converged:
             continue
         if all(prob.wnorm_vec(raw.z - zk) > cfg.distinct_tol for zk in knowns):
             accepted.append(raw)
 
     accepted.sort(key=lambda r: r.action)
-    points = [_finalize(prob, lam, raw) for raw in accepted]
+    points = [_finalize(prob, lam, raw, groups) for raw in accepted]
     k = len(points)
     dist = np.zeros((k, k))
     for i in range(k):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphvar as gv
-from graphvar.calculus import poly_lap_apply_arr, poly_lap_weak_many
+from graphvar.calculus import _scatter, poly_lap_apply_arr, poly_lap_weak_many
 from graphvar.errors import BadParam, DomainMismatch, RegularizationWarning
 
 from conftest import (
@@ -269,6 +269,23 @@ def test_weak_many_batches_match_single():
     for j in range(3):
         single = gv.poly_lap_weak(g, u, gv.VertexFunction(g, phis[:, j]), 2, 3.0)
         assert rel_close(float(batch[j]), single, 1e-12)
+
+
+def test_batched_kernels_match_stacked_columns_bitwise():
+    rng = np.random.default_rng(22)
+    g = random_graph(rng, n_min=5)
+    arr = rng.uniform(-1, 1, (g.n_vertices, 4))
+    idx = g.edge_index[:, 0]
+    term = rng.uniform(-1, 1, (g.n_edges, 4))
+    batch = _scatter(g, idx, term, arr.shape)
+    stacked = np.stack([_scatter(g, idx, term[:, j], arr.shape[:1])
+                        for j in range(4)], axis=1)
+    assert batch.tobytes() == stacked.tobytes()
+    for m in (1, 2, 3):
+        batch = poly_lap_apply_arr(g, arr, m, 3.0)
+        stacked = np.stack([poly_lap_apply_arr(g, arr[:, j], m, 3.0)
+                            for j in range(4)], axis=1)
+        assert batch.tobytes() == stacked.tobytes()
 
 
 def test_lr_norm_examples(p2, step):

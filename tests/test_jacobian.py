@@ -1,0 +1,129 @@
+"""Compressed finite-difference Jacobians: the m-hop sparsity pattern, the
+greedy column colouring, and equality with the dense one-column-at-a-time
+difference, both per Jacobian and for a whole solve."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import graphvar as gv
+from graphvar import solver
+from graphvar.problems import builtin_problem
+from graphvar.solver import solution_set_to_json
+
+from conftest import smooth_model
+
+ORDERS = st.sampled_from([1, 2, 3])
+EXPONENTS = st.sampled_from([2.0, 2.5, 3.0])
+POSITIVE = st.floats(0.5, 2.5)
+
+
+@st.composite
+def weighted_graphs(draw, n_max: int = 9):
+    """Connected graph: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, n_max))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=n))
+    edges = [(ids[a], ids[b], draw(POSITIVE)) for a, b in sorted(pairs)]
+    mu = {v: draw(POSITIVE) for v in ids}
+    return gv.WeightedGraph(ids, mu, edges)
+
+
+def tabulated():
+    grid = np.linspace(-3.0, 3.0, 7)
+    s, t = np.meshgrid(grid, grid, indexing="ij")
+    return gv.tabulated_model(grid, grid, np.sin(s) * np.cos(t) + 0.3 * s * t ** 2)
+
+
+@st.composite
+def problems(draw):
+    g = draw(weighted_graphs())
+    h = gv.VertexFunction.constant(g, draw(POSITIVE))
+    if draw(st.booleans()):
+        return gv.ScalarProblem(graph=g, m=draw(ORDERS), p=draw(EXPONENTS), h=h,
+                                nonlinearity=smooth_model())
+    return gv.ProblemSpec(graph=g, m1=draw(ORDERS), m2=draw(ORDERS),
+                          p=draw(EXPONENTS), q=draw(EXPONENTS), h1=h, h2=h,
+                          nonlinearity=tabulated())
+
+
+@st.composite
+def problem_states(draw):
+    prob = draw(problems())
+    z = draw(arrays(np.float64, prob.n_dofs, elements=st.floats(-2.5, 2.5)))
+    return prob, z
+
+
+def dense_jacobian(fn, z, h):
+    n = len(z)
+    jac = np.empty((n, n))
+    for j in range(n):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        jac[:, j] = (fn(zp) - fn(zm)) / (2.0 * h)
+    return jac
+
+
+def pattern_mask(prob):
+    mask = np.zeros((prob.n_dofs, prob.n_dofs), dtype=bool)
+    for i, cols in enumerate(solver._sparsity(prob)):
+        mask[i, cols] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_states())
+def test_compressed_jacobian_is_the_dense_one_bitwise(case):
+    prob, z = case
+    fn = lambda y: prob.residual_vec(0.7, y)
+    h = solver.FD_SCALE * (1.0 + float(np.linalg.norm(z)))
+    dense = dense_jacobian(fn, z, h)
+    assert not np.any(dense[~pattern_mask(prob)])
+    compressed = solver._fd_jacobian(fn, z, h, solver._jacobian_groups(prob))
+    assert compressed.tobytes() == dense.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_no_two_columns_of_a_colour_share_a_row(prob):
+    pattern = solver._sparsity(prob)
+    colour = solver._colour_columns(pattern)
+    for cols in pattern:
+        assert len(set(colour[cols].tolist())) == len(cols)
+    groups = solver._jacobian_groups(prob)
+    perturbed = np.sort(np.concatenate([cols for cols, _, _ in groups]))
+    assert np.array_equal(perturbed, np.arange(prob.n_dofs))
+
+
+def test_builtin_colour_counts():
+    assert len(solver._jacobian_groups(builtin_problem("example-6.1").problem)) == 12
+    assert len(solver._jacobian_groups(builtin_problem("example-6.2").problem)) == 18
+
+
+@pytest.fixture(scope="module")
+def solve61():
+    prob = builtin_problem("example-6.1").problem
+    cfg = gv.SolverConfig(seed=7, starts=6)
+    return prob, gv.find_three(prob, 0.3, cfg), cfg
+
+
+def test_solve_is_the_same_with_one_column_per_group(solve61, monkeypatch):
+    prob, sset, cfg = solve61
+    monkeypatch.setattr(solver, "_colour_columns",
+                        lambda pattern: np.arange(len(pattern)))
+    assert len(solver._jacobian_groups(prob)) == prob.n_dofs
+    assert solution_set_to_json(gv.find_three(prob, 0.3, cfg)) == solution_set_to_json(sset)
+
+
+def test_kind_is_classified_at_the_returned_point(solve61):
+    prob, sset, _ = solve61
+    groups = solver._jacobian_groups(prob)
+    assert sset.points
+    for pt in sset.points:
+        fresh = solver._classify(prob, 0.3, prob.pack_state(pt.state), groups)
+        assert pt.kind == fresh
