@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphvar as gv
+from graphvar.cli import main
 from graphvar.errors import BadParam, MissingEnvelope
 from graphvar.functionals import ScalarProblem
 from graphvar.intervals import envelope_max, kappa_scalar_finite
@@ -297,3 +299,54 @@ def test_report_doc_round_trips(prep61):
     # 12 significant digits carried
     assert abs(again["lambda_lo"] - rep.lambda_lo) <= 1e-11 * rep.lambda_lo
     assert {h["name"] for h in again["hypotheses"]} >= {"H", "F0", "F1", "F2", "F3"}
+
+
+# -- pinned reports ------------------------------------------------------------
+# Each theorem path's full report text under both box-maximum strategies, as
+# the CLI writes it; a report that moves in any digit or word fails here.
+
+PINS = Path(__file__).parent / "pins"
+STRATEGIES = ("grid", "corner")
+
+
+def report_text(rep) -> str:
+    return json.dumps(rep.to_doc(), sort_keys=True, indent=2) + "\n"
+
+
+def reduced_scalar_problem(prob61):
+    """example-6.1's model reduced to its first argument, on the 3x3 grid."""
+    m61 = prob61.nonlinearity
+    reduced = NonlinearityModel(
+        name="reduced", F=lambda s, t: m61.F(s, 0.0 * s),
+        Fs=lambda s, t: m61.Fs(s, 0.0 * s),
+        Ft=lambda s, t: np.zeros_like(np.asarray(s, dtype=float)),
+        seams_s=m61.seams_s, s_scale=m61.s_scale, t_scale=0.0)
+    return ScalarProblem(graph=prob61.graph, m=2, p=2.0, h=prob61.h1,
+                         nonlinearity=reduced)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("key, printed", [("example-6.1", "(0.0761374, 0.653027)"),
+                                          ("example-6.2", "(0.0370613, 2.35996)")])
+def test_reproduce_reports_match_pins(tmp_path, capsys, key, printed, strategy):
+    out = tmp_path / "report.json"
+    assert main(["interval", "--reproduce", key, "--strategy", strategy,
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"lambda interval: {printed}  valid: True\n"
+    assert out.read_text() == (PINS / f"{key}-{strategy}.json").read_text()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_t12_report_matches_pin(strategy):
+    prob, x0 = coupled_lattice_problem()
+    rep = gv.interval_locally_finite(prob, x0, 1.0, 0.1, 6.0 * W, 0.1,
+                                     h0=4.0, mu0=1.0, strategy=strategy)
+    assert report_text(rep) == (PINS / f"T1.2-lattice-{strategy}.json").read_text()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_t51_report_matches_pin(prep61, strategy):
+    prob = reduced_scalar_problem(prep61.problem)
+    rep = gv.interval_scalar(prob, prep61.gammas[0], prep61.deltas[0],
+                             mode="finite", strategy=strategy)
+    assert report_text(rep) == (PINS / f"T5.1-reduced-{strategy}.json").read_text()
