@@ -18,6 +18,7 @@ from .calculus import (
     poly_lap_weak,
 )
 from .functionals import (
+    Problem,
     ProblemSpec,
     ScalarProblem,
     StatePair,

@@ -25,7 +25,7 @@ import numpy as np
 from . import calculus
 from .errors import GraphVarError, BadParam, IoError, ParseError
 from .graph import build_graph, function_from_doc, function_to_doc, integrate
-from .intervals import interval_finite, interval_locally_finite, interval_scalar
+from .intervals import interval_finite, interval_locally_finite
 from .problems import PreparedProblem, builtin_problem, problem_from_doc
 from .solver import SolverConfig, find_three, solution_set_to_json
 
@@ -151,39 +151,26 @@ def cmd_interval(args) -> int:
     prep, inputs = _load_problem(args)
     mode = args.mode or prep.mode
     strategy = args.strategy
-
-    if prep.scalar:
-        gamma = args.gamma if args.gamma is not None else (
-            prep.gammas[0] if prep.gammas else None)
-        delta = args.delta if args.delta is not None else (
-            prep.deltas[0] if prep.deltas else None)
-        if gamma is None or delta is None:
-            raise BadParam("scalar intervals need --gamma and --delta")
-        report = interval_scalar(prep.problem, gamma, delta, mode=mode,
-                                 x0=args.x0 or prep.x0,
-                                 h0=args.h0 if args.h0 is not None else prep.h0,
-                                 mu0=args.mu0 if args.mu0 is not None else prep.mu0,
-                                 strategy=strategy)
-        config = {"mode": mode, "gamma": gamma, "delta": delta, "strategy": strategy}
+    # --gamma/--delta for one component, --gamma1/--gamma2/... for two
+    k = len(prep.problem.components)
+    sub = ("",) if k == 1 else ("1", "2")
+    values = []
+    for name, defaults in (("gamma", prep.gammas), ("delta", prep.deltas)):
+        given = [getattr(args, name + s) for s in sub]
+        values += [v if v is not None else defaults[i] if defaults else None
+                   for i, v in enumerate(given)]
+    if None in values:
+        raise BadParam("intervals need " + ", ".join(
+            f"--{name}{s}" for name in ("gamma", "delta") for s in sub))
+    if mode == "finite":
+        report = interval_finite(prep.problem, *values, strategy=strategy)
     else:
-        gammas = ((args.gamma1, args.gamma2)
-                  if args.gamma1 is not None else prep.gammas)
-        deltas = ((args.delta1, args.delta2)
-                  if args.delta1 is not None else prep.deltas)
-        if len(gammas) != 2 or len(deltas) != 2:
-            raise BadParam("coupled intervals need gamma1/gamma2 and delta1/delta2")
-        if mode == "finite":
-            report = interval_finite(prep.problem, *gammas, *deltas, strategy=strategy)
-        else:
-            x0 = args.x0 or prep.x0
-            h0 = args.h0 if args.h0 is not None else prep.h0
-            mu0 = args.mu0 if args.mu0 is not None else prep.mu0
-            if x0 is None or h0 is None or mu0 is None:
-                raise BadParam("locally finite intervals need x0, h0, mu0")
-            report = interval_locally_finite(prep.problem, x0, *gammas, *deltas,
-                                             h0, mu0, strategy=strategy)
-        config = {"mode": mode, "gammas": list(gammas), "deltas": list(deltas),
-                  "strategy": strategy}
+        report = interval_locally_finite(
+            prep.problem, args.x0 or prep.x0, *values,
+            h0=args.h0 if args.h0 is not None else prep.h0,
+            mu0=args.mu0 if args.mu0 is not None else prep.mu0, strategy=strategy)
+    config = {"mode": mode, "gammas": values[:k], "deltas": values[k:],
+              "strategy": strategy}
 
     text = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)

@@ -80,20 +80,8 @@ class MissingEnvelope(GraphVarError):
 # intervals / solver
 # ---------------------------------------------------------------------------
 
-class HypothesisFailed(GraphVarError):
-    """An interval-computation hypothesis failed; the report has details."""
-
-
-class NoConvergence(GraphVarError):
-    """An iteration exhausted its budget without meeting its tolerance."""
-
-
 class ConvergedToKnown(GraphVarError):
     """A deflated iteration landed within distinct_tol of a known point."""
-
-
-class FoundFewer(GraphVarError):
-    """A solution search returned fewer distinct points than requested."""
 
 
 # ---------------------------------------------------------------------------

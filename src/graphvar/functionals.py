@@ -1,16 +1,18 @@
-"""Variational energies for the coupled two-component system and its scalar
-reduction, together with their exact gradients.
+"""Variational energies of the graph systems with k = 1 or 2 unknowns,
+together with their exact gradients.
 
-The action for a parameter lam > 0 is
+A problem holds one Sobolev component (m_i, l_i, h_i) per unknown.  For a
+parameter lam > 0 its action is
 
-    action(u, v) = (1/p) ||u||^p_{W^{m1,p}} + (1/q) ||v||^q_{W^{m2,q}}
-                   - lam * integral of F(x, u, v)
+    action(u_1, ..., u_k) = sum_i (1/l_i) ||u_i||^{l_i}_{W^{m_i,l_i}}
+                            - lam * integral of F(x, u_1, u_2)
 
-and its Gateaux derivative is represented pointwise: the returned gradient
-pair (G_u, G_v) satisfies
+with u_2 = 0 in F when k = 1: the coupled system has k = 2, components
+(m1, p, h1) and (m2, q, h2); its scalar reduction has k = 1.  The Gateaux
+derivative is represented pointwise: the returned gradient (G_1, ..., G_k)
+satisfies
 
-    d/de action(u + e phi1, v + e phi2) |_{e=0}
-        = integral of G_u phi1 + integral of G_v phi2
+    d/de action(u + e phi) |_{e=0} = sum_i integral of G_i phi_i
 
 so a state is a critical point exactly when the pointwise system residual
 vanishes; the solver's convergence metric and the equation defect are one
@@ -18,14 +20,16 @@ object.  The operator term follows the weak-form sign convention throughout
 (L_{1,p} = -Delta_p), which keeps the two formulations of the system
 consistent.
 
-Both problem classes also expose a flat-vector view (pack/unpack, action,
-euclidean gradient) used by the numerical solver; euclidean gradients carry
-the vertex measure, pointwise residuals do not.
+A problem also exposes a flat-vector view (pack/unpack, action, euclidean
+gradient) used by the numerical solver: component i occupies entries
+[i n, (i + 1) n) of the vector.  Euclidean gradients carry the vertex
+measure, pointwise residuals do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .calculus import m_grad_norm_arr, poly_lap_apply_arr, signed_power
 from .errors import BadParam
 from .graph import VertexFunction, WeightedGraph, check_domain
 from .nonlinearity import NonlinearityModel
-from .sobolev import SobolevSpec, _check_potential
+from .sobolev import SobolevSpec
 
 
 def _w_power_arr(g: WeightedGraph, arr: np.ndarray, m: int, l: float,
@@ -56,169 +60,114 @@ class StatePair:
     v: VertexFunction
 
 
+# A state: one vertex function for k = 1, a pair for k = 2.
+State = Union[VertexFunction, StatePair]
+
+
 @dataclass(frozen=True)
-class ProblemSpec:
-    """The coupled system on a finite graph: orders (m1, m2), exponents
-    (p, q) > 1, strictly positive potentials (h1, h2), and a nonlinearity.
-    The parameter lam is per-call, not stored."""
+class Problem:
+    """A system on a finite graph: one Sobolev component (order m, exponent
+    l > 1, strictly positive potential h) per unknown, k = 1 or 2 of them,
+    and a nonlinearity F(x, s, t) whose slots past k are held at zero.  The
+    parameter lam is per-call, not stored."""
 
     graph: WeightedGraph
-    m1: int
-    m2: int
-    p: float
-    q: float
-    h1: VertexFunction
-    h2: VertexFunction
+    components: tuple[SobolevSpec, ...]
     nonlinearity: NonlinearityModel
+    # (entries of z, m, l, h values) per component, and mu once per component
+    _blocks: tuple = field(init=False, repr=False, compare=False)
+    mu_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.m1) < 1 or int(self.m2) < 1:
-            raise BadParam(f"orders must be >= 1, got ({self.m1}, {self.m2})")
-        if float(self.p) <= 1.0 or float(self.q) <= 1.0:
-            raise BadParam(f"exponents must exceed 1, got ({self.p}, {self.q})")
-        check_domain(self.graph, self.h1, self.h2)
-        _check_potential(self.h1.values)
-        _check_potential(self.h2.values)
-
-    # -- spec views ----------------------------------------------------------
-
-    def spec_u(self) -> SobolevSpec:
-        return SobolevSpec(self.m1, self.p, self.h1)
-
-    def spec_v(self) -> SobolevSpec:
-        return SobolevSpec(self.m2, self.q, self.h2)
-
-    def check_state(self, w: StatePair) -> None:
-        check_domain(self.graph, w.u, w.v)
+        object.__setattr__(self, "components", tuple(self.components))
+        k = len(self.components)
+        if k not in (1, 2):
+            raise BadParam(f"a problem has 1 or 2 components, got {k}")
+        check_domain(self.graph, *(c.h for c in self.components))
+        n = self.graph.n_vertices
+        object.__setattr__(self, "_blocks", tuple(
+            (slice(i * n, (i + 1) * n), c.m, c.l, c.h.values)
+            for i, c in enumerate(self.components)))
+        object.__setattr__(self, "mu_dofs", np.concatenate([self.graph.mu] * k))
 
     # -- flat-vector view (solver interface) ----------------------------------
 
     @property
     def n_dofs(self) -> int:
-        return 2 * self.graph.n_vertices
+        return len(self.components) * self.graph.n_vertices
 
-    def pack_state(self, w: StatePair) -> np.ndarray:
-        self.check_state(w)
-        return np.concatenate([w.u.values, w.v.values])
+    def pack_state(self, w: State) -> np.ndarray:
+        parts = (w,) if len(self.components) == 1 else (w.u, w.v)
+        check_domain(self.graph, *parts)
+        return np.concatenate([f.values for f in parts])
 
-    def unpack_state(self, z: np.ndarray) -> StatePair:
-        n = self.graph.n_vertices
-        return StatePair(VertexFunction(self.graph, z[:n].copy()),
-                         VertexFunction(self.graph, z[n:].copy()))
+    def unpack_state(self, z: np.ndarray) -> State:
+        parts = [VertexFunction(self.graph, z[sl]) for sl, *_ in self._blocks]
+        return parts[0] if len(parts) == 1 else StatePair(*parts)
 
-    def _split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.graph.n_vertices
-        return z[:n], z[n:]
+    def _slots(self, z: np.ndarray) -> list[np.ndarray]:
+        """The nonlinearity's (s, t) arguments at z: zeros past k."""
+        slots = [z[sl] for sl, *_ in self._blocks]
+        return slots + [np.zeros_like(z)] * (2 - len(slots))
 
     def action_vec(self, lam: float, z: np.ndarray) -> float:
+        """The action at z; lam = 0 gives sum_i (1/l_i) ||u_i||^{l_i}."""
         g = self.graph
-        u, v = self._split(z)
-        val = (_w_power_arr(g, u, self.m1, self.p, self.h1.values) / self.p
-               + _w_power_arr(g, v, self.m2, self.q, self.h2.values) / self.q)
+        val = 0.0
+        for sl, m, l, h in self._blocks:
+            val += _w_power_arr(g, z[sl], m, l, h) / l
         if lam != 0.0:
-            val -= lam * float(np.dot(g.mu, self.nonlinearity.F_on(g, u, v)))
+            val -= lam * float(np.dot(g.mu, self.nonlinearity.F_on(g, *self._slots(z))))
         return val
 
     def residual_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
-        """Pointwise defect of both equations, concatenated."""
+        """Pointwise defect of every component's equation, concatenated."""
         g = self.graph
-        u, v = self._split(z)
-        gu = _phi_grad_arr(g, u, self.m1, self.p, self.h1.values)
-        gv = _phi_grad_arr(g, v, self.m2, self.q, self.h2.values)
+        out = [_phi_grad_arr(g, z[sl], m, l, h) for sl, m, l, h in self._blocks]
         if lam != 0.0:
-            gu = gu - lam * self.nonlinearity.Fs_on(g, u, v)
-            gv = gv - lam * self.nonlinearity.Ft_on(g, u, v)
-        return np.concatenate([gu, gv])
+            model, slots = self.nonlinearity, self._slots(z)
+            out[0] = out[0] - lam * model.Fs_on(g, *slots)
+            if len(out) == 2:
+                out[1] = out[1] - lam * model.Ft_on(g, *slots)
+        return np.concatenate(out)
 
     def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
         """Euclidean gradient of action_vec: the residual weighted by mu."""
-        mu2 = np.concatenate([self.graph.mu, self.graph.mu])
-        return mu2 * self.residual_vec(lam, z)
+        return self.mu_dofs * self.residual_vec(lam, z)
 
     def wnorm_vec(self, z: np.ndarray) -> float:
+        """Product-space norm: the sum of the components' W-norms."""
         g = self.graph
-        u, v = self._split(z)
-        return (_w_power_arr(g, u, self.m1, self.p, self.h1.values) ** (1.0 / self.p)
-                + _w_power_arr(g, v, self.m2, self.q, self.h2.values) ** (1.0 / self.q))
+        return sum(_w_power_arr(g, z[sl], m, l, h) ** (1.0 / l)
+                   for sl, m, l, h in self._blocks)
 
     @property
     def start_scale(self) -> float:
-        m = self.nonlinearity
-        return max(m.s_scale, m.t_scale, 1.0)
+        model = self.nonlinearity
+        return max(*(model.s_scale, model.t_scale)[:len(self.components)], 1.0)
 
     @property
     def solver_exponents(self) -> tuple[float, ...]:
-        return (self.p, self.q)
+        return tuple(c.l for c in self.components)
 
 
-@dataclass(frozen=True)
-class ScalarProblem:
-    """The single-unknown reduction: one order m, exponent p, potential h,
-    and a nonlinearity whose t-slot is ignored."""
+def ProblemSpec(*, graph: WeightedGraph, m1: int, m2: int, p: float, q: float,
+                h1: VertexFunction, h2: VertexFunction,
+                nonlinearity: NonlinearityModel) -> Problem:
+    """The coupled system: orders (m1, m2), exponents (p, q) > 1, strictly
+    positive potentials (h1, h2), and a nonlinearity."""
+    return Problem(graph, (SobolevSpec(m1, p, h1), SobolevSpec(m2, q, h2)), nonlinearity)
 
-    graph: WeightedGraph
-    m: int
-    p: float
-    h: VertexFunction
-    nonlinearity: NonlinearityModel
 
-    def __post_init__(self):
-        if int(self.m) < 1:
-            raise BadParam(f"order must be >= 1, got {self.m}")
-        if float(self.p) <= 1.0:
-            raise BadParam(f"exponent must exceed 1, got {self.p}")
-        check_domain(self.graph, self.h)
-        _check_potential(self.h.values)
-
-    def spec_u(self) -> SobolevSpec:
-        return SobolevSpec(self.m, self.p, self.h)
-
-    def check_state(self, u: VertexFunction) -> None:
-        check_domain(self.graph, u)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.graph.n_vertices
-
-    def pack_state(self, u: VertexFunction) -> np.ndarray:
-        self.check_state(u)
-        return u.values.copy()
-
-    def unpack_state(self, z: np.ndarray) -> VertexFunction:
-        return VertexFunction(self.graph, z.copy())
-
-    def action_vec(self, lam: float, z: np.ndarray) -> float:
-        g = self.graph
-        val = _w_power_arr(g, z, self.m, self.p, self.h.values) / self.p
-        if lam != 0.0:
-            zero = np.zeros_like(z)
-            val -= lam * float(np.dot(g.mu, self.nonlinearity.F_on(g, z, zero)))
-        return val
-
-    def residual_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
-        g = self.graph
-        out = _phi_grad_arr(g, z, self.m, self.p, self.h.values)
-        if lam != 0.0:
-            out = out - lam * self.nonlinearity.Fs_on(g, z, np.zeros_like(z))
-        return out
-
-    def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
-        return self.graph.mu * self.residual_vec(lam, z)
-
-    def wnorm_vec(self, z: np.ndarray) -> float:
-        return _w_power_arr(self.graph, z, self.m, self.p, self.h.values) ** (1.0 / self.p)
-
-    @property
-    def start_scale(self) -> float:
-        return max(self.nonlinearity.s_scale, 1.0)
-
-    @property
-    def solver_exponents(self) -> tuple[float, ...]:
-        return (self.p,)
+def ScalarProblem(*, graph: WeightedGraph, m: int, p: float, h: VertexFunction,
+                  nonlinearity: NonlinearityModel) -> Problem:
+    """The single-unknown reduction: order m, exponent p, potential h, and a
+    nonlinearity whose t-slot is held at zero."""
+    return Problem(graph, (SobolevSpec(m, p, h),), nonlinearity)
 
 
 # ---------------------------------------------------------------------------
-# public energy / gradient operations on the coupled system
+# public energy / gradient operations
 # ---------------------------------------------------------------------------
 
 def _check_lambda(lam: float) -> float:
@@ -228,58 +177,46 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def phi_energy(prob: ProblemSpec, w: StatePair) -> float:
-    """(1/p) ||u||^p + (1/q) ||v||^q; zero exactly at the zero state."""
-    prob.check_state(w)
-    g = prob.graph
-    return (_w_power_arr(g, w.u.values, prob.m1, prob.p, prob.h1.values) / prob.p
-            + _w_power_arr(g, w.v.values, prob.m2, prob.q, prob.h2.values) / prob.q)
+def phi_energy(prob: Problem, w: State) -> float:
+    """sum_i (1/l_i) ||u_i||^{l_i}; zero exactly at the zero state."""
+    return prob.action_vec(0.0, prob.pack_state(w))
 
 
-def psi_energy(prob: ProblemSpec, w: StatePair) -> float:
+def psi_energy(prob: Problem, w: State) -> float:
     """Integral of F(x, u(x), v(x)) against the vertex measure."""
-    prob.check_state(w)
     g = prob.graph
-    return float(np.dot(g.mu, prob.nonlinearity.F_on(g, w.u.values, w.v.values)))
+    return float(np.dot(g.mu, prob.nonlinearity.F_on(g, *prob._slots(prob.pack_state(w)))))
 
 
-def action(prob: ProblemSpec, lam: float, w: StatePair) -> float:
+def action(prob: Problem, lam: float, w: State) -> float:
     """phi_energy - lam * psi_energy (lam = 0 is allowed for testing)."""
     lam = _check_lambda(lam)
-    prob.check_state(w)
     return prob.action_vec(lam, prob.pack_state(w))
 
 
-def action_gradient(prob: ProblemSpec, lam: float, w: StatePair) -> StatePair:
-    """Pointwise gradient pair (G_u, G_v) of the action at w.
+def action_gradient(prob: Problem, lam: float, w: State) -> State:
+    """Pointwise gradient (G_u, G_v) of the action at w.
 
     G_u = L_{m1,p} u + h1 |u|^{p-2} u - lam F_s(x, u, v), and symmetrically
     for G_v; pairing G against a direction with `integrate` reproduces the
     directional derivative of `action`.
     """
     lam = _check_lambda(lam)
-    prob.check_state(w)
-    res = prob.residual_vec(lam, prob.pack_state(w))
-    n = prob.graph.n_vertices
-    return StatePair(VertexFunction(prob.graph, res[:n].copy()),
-                     VertexFunction(prob.graph, res[n:].copy()))
+    return prob.unpack_state(prob.residual_vec(lam, prob.pack_state(w)))
 
 
-def monotonicity_gap(prob: ProblemSpec, w1: StatePair, w2: StatePair) -> float:
+def monotonicity_gap(prob: Problem, w1: State, w2: State) -> float:
     """Pairing of Phi'(w1) - Phi'(w2) against w1 - w2 (lam-independent).
 
-    The uniform-monotonicity lower bounds hold for exponents p, q >= 2, so
-    that is the accepted range.
+    The uniform-monotonicity lower bounds hold for exponents >= 2, so that
+    is the accepted range.
     """
-    if prob.p < 2.0 or prob.q < 2.0:
+    if min(prob.solver_exponents) < 2.0:
         raise BadParam(
-            f"monotonicity gap is defined for p, q >= 2, got ({prob.p}, {prob.q})")
-    prob.check_state(w1)
-    prob.check_state(w2)
+            f"monotonicity gap is defined for exponents >= 2, got {prob.solver_exponents}")
     z1, z2 = prob.pack_state(w1), prob.pack_state(w2)
     diff = prob.residual_vec(0.0, z1) - prob.residual_vec(0.0, z2)
-    mu2 = np.concatenate([prob.graph.mu, prob.graph.mu])
-    return float(np.dot(mu2 * diff, z1 - z2))
+    return float(np.dot(prob.mu_dofs * diff, z1 - z2))
 
 
 def monotonicity_modulus(p: float, q: float, t: float) -> float:
@@ -292,8 +229,6 @@ def monotonicity_modulus(p: float, q: float, t: float) -> float:
     return c / 2.0 ** (hi - 1.0) * t ** expo
 
 
-def w_distance(prob: ProblemSpec, w1: StatePair, w2: StatePair) -> float:
+def w_distance(prob: Problem, w1: State, w2: State) -> float:
     """Product-space distance ||u1-u2||_{W^{m1,p}} + ||v1-v2||_{W^{m2,q}}."""
-    prob.check_state(w1)
-    prob.check_state(w2)
     return prob.wnorm_vec(prob.pack_state(w1) - prob.pack_state(w2))

@@ -33,7 +33,7 @@ class WeightedGraph:
     in the lexicographic vertex order; symmetry is structural.
     """
 
-    __slots__ = ("vertices", "mu", "edge_index", "edge_weight", "_pos", "_deg")
+    __slots__ = ("vertices", "mu", "edge_index", "edge_weight", "_pos", "_deg", "_hash")
 
     def __init__(self, vertices: Iterable[str], mu: Mapping[str, float],
                  edges: Iterable[tuple[str, str, float]]):
@@ -88,6 +88,8 @@ class WeightedGraph:
         self.edge_index.setflags(write=False)
         self.edge_weight.setflags(write=False)
         self._deg.setflags(write=False)
+        self._hash = hash((self.vertices, self.mu.tobytes(), self.edge_index.tobytes(),
+                           self.edge_weight.tobytes()))
 
     # -- basic queries ------------------------------------------------------
 
@@ -132,8 +134,8 @@ class WeightedGraph:
                 and np.array_equal(self.edge_index, other.edge_index)
                 and np.array_equal(self.edge_weight, other.edge_weight))
 
-    def __hash__(self) -> int:  # identity hash; content equality via __eq__
-        return id(self)
+    def __hash__(self) -> int:  # of the content __eq__ compares
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeightedGraph({self.n_vertices} vertices, {self.n_edges} edges)"
@@ -142,14 +144,14 @@ class WeightedGraph:
 class VertexFunction:
     """A real value per vertex, the discrete u : V -> R.
 
-    Values are stored as a float array aligned with the graph's vertex order
-    and must all be finite.
+    Values are stored as a read-only float copy aligned with the graph's
+    vertex order and must all be finite; the caller's array is left as it is.
     """
 
     __slots__ = ("graph", "values")
 
     def __init__(self, graph: WeightedGraph, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (graph.n_vertices,):
             raise DomainMismatch(
                 f"expected {graph.n_vertices} values, got shape {values.shape}")

@@ -1,17 +1,19 @@
 """Admissible-parameter intervals for the three-solution results.
 
-For the coupled system on a finite graph the interval is (1/L2, 1/L1) with
+One finite path and one locally-finite path serve problems with k = 1 or 2
+components (m_i, l_i, h_i); the theorem label comes from k and the mode:
+T1.1 / T1.2 for the coupled system, T5.1 / T5.2 for its scalar reduction.
+Both take k gammas then k deltas.  On a finite graph the interval is
+(1/L2, 1/L1) with
 
-    L1 = max over the box {|s| <= s_max, |t| <= t_max} of F(x, s, t) |V|
-         / (gamma1^p + gamma2^q),
-    L2 = inf_x F(x, delta1, delta2) |V|
-         / (delta1^p/p int h1 + delta2^q/q int h2),
+    r  = sum_i gamma_i^{l_i},
+    L1 = max over the box {|s_i| <= s_i,max} of F(x, s) |V| / r,
+    L2 = inf_x F(x, delta) |V| / sum_i (delta_i^{l_i} / l_i) int h_i,
 
-where s_max = (p gamma1^p + p gamma2^q)^(1/p) / (h1_min mu_min)^(1/p) and
-t_max analogously with q and h2.  On locally finite graphs (orders 1, with
-Dirichlet truncation) the endpoints use the radial envelope a and the local
-masses M1, M2 concentrated at the support vertex x0.  The scalar reductions
-follow the same pattern with a single (gamma, delta).
+where s_i,max = (l_i r)^(1/l_i) / (h_i,min mu_min)^(1/l_i) and slots of F
+past k are zero.  On locally finite graphs (orders 1, with Dirichlet
+truncation) the endpoints use the radial envelope a and the local masses M_i
+concentrated at the support vertex x0.
 
 Each report carries per-hypothesis verdicts with witnesses.  Growth and
 smoothness hypotheses are checked by sampling (a heuristic, not a proof);
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParam, InconsistentDerivative, MissingEnvelope
-from .functionals import ProblemSpec, ScalarProblem
+from .functionals import Problem
 from .graph import VertexFunction, WeightedGraph, integrate
 from .nonlinearity import (
     NonlinearityModel,
@@ -115,16 +117,15 @@ class IntervalReport:
 # constants kappa and local masses
 # ---------------------------------------------------------------------------
 
-def kappa_finite(prob: ProblemSpec) -> tuple[float, float]:
-    """kappa_i = ((1/p) int h1 dmu)^(-1/p) and the q-analogue."""
-    g = prob.graph
-    k1 = (integrate(g, prob.h1) / prob.p) ** (-1.0 / prob.p)
-    k2 = (integrate(g, prob.h2) / prob.q) ** (-1.0 / prob.q)
-    return float(k1), float(k2)
+def kappa_finite(prob: Problem) -> tuple[float, ...]:
+    """kappa_i = ((1/l_i) int h_i dmu)^(-1/l_i), one per component."""
+    return tuple(float((integrate(prob.graph, c.h) / c.l) ** (-1.0 / c.l))
+                 for c in prob.components)
 
 
-def kappa_scalar_finite(prob: ScalarProblem) -> float:
-    return float((integrate(prob.graph, prob.h) / prob.p) ** (-1.0 / prob.p))
+def kappa_scalar_finite(prob: Problem) -> float:
+    """kappa of a one-component problem."""
+    return kappa_finite(prob)[0]
 
 
 def _mass_one(g: WeightedGraph, i0: int, expo: float, h_arr: np.ndarray) -> float:
@@ -156,7 +157,9 @@ def local_mass(g: WeightedGraph, x0: str, p: float, q: Optional[float],
 # box maxima
 # ---------------------------------------------------------------------------
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
+def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float, float]:
+    """Golden-section search for a maximum of fn on [lo, hi]: the midpoint
+    of the final bracket and the values of fn at the bracket's two probes."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -170,7 +173,7 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> float:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = fn(c)
-    return max(fn(0.5 * (a + b)), fc, fd)
+    return 0.5 * (a + b), fc, fd
 
 
 def _grid_max_1d(fn, lo: float, hi: float, n: int) -> float:
@@ -179,8 +182,9 @@ def _grid_max_1d(fn, lo: float, hi: float, n: int) -> float:
     i = int(np.argmax(vals))
     h = (hi - lo) / (n - 1)
     a, b = max(lo, xs[i] - h), min(hi, xs[i] + h)
-    refined = _golden_max(lambda x: float(fn(np.asarray(x))), a, b)
-    return max(float(vals[i]), refined)
+    scalar_fn = lambda x: float(fn(np.asarray(x)))
+    mid, fc, fd = _golden_max(scalar_fn, a, b)
+    return max(float(vals[i]), max(scalar_fn(mid), fc, fd))
 
 
 def _grid_max_2d(fn, s_max: float, t_max: float, n: int) -> float:
@@ -193,27 +197,12 @@ def _grid_max_2d(fn, s_max: float, t_max: float, n: int) -> float:
     hs, ht = 2.0 * s_max / (n - 1), 2.0 * t_max / (n - 1)
     for _ in range(3):
         bs_lo, bs_hi = max(-s_max, bs - hs), min(s_max, bs + hs)
-        bs = _argmax_1d(lambda x: float(fn(np.asarray(x), np.asarray(bt))), bs_lo, bs_hi)
+        bs = _golden_max(lambda x: float(fn(np.asarray(x), np.asarray(bt))),
+                         bs_lo, bs_hi)[0]
         bt_lo, bt_hi = max(-t_max, bt - ht), min(t_max, bt + ht)
-        bt = _argmax_1d(lambda x: float(fn(np.asarray(bs), np.asarray(x))), bt_lo, bt_hi)
+        bt = _golden_max(lambda x: float(fn(np.asarray(bs), np.asarray(x))),
+                         bt_lo, bt_hi)[0]
     return max(best, float(fn(np.asarray(bs), np.asarray(bt))))
-
-
-def _argmax_1d(fn, lo: float, hi: float, iters: int = 80) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-    return 0.5 * (a + b)
 
 
 def box_max_F(model: NonlinearityModel, s_max: float, t_max: float,
@@ -325,233 +314,175 @@ def _endpoints_to_lambdas(big_lo: float, big_hi: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# the four interval computations
+# the interval computations, for k = 1 or 2 components
 # ---------------------------------------------------------------------------
 
-def interval_finite(prob: ProblemSpec, gamma1: float, gamma2: float,
-                    delta1: float, delta2: float,
+_THEOREMS = {("finite", 2): "T1.1", ("locally_finite", 2): "T1.2",
+             ("finite", 1): "T5.1", ("locally_finite", 1): "T5.2"}
+
+
+def _labels(k: int) -> tuple[str, ...]:
+    """Component subscripts in parameter names and witnesses; none for k = 1."""
+    return ("",) if k == 1 else ("1", "2")
+
+
+def _pad(values, fill: float = 0.0) -> tuple:
+    """Per-component values as the (s, t) slots of F: `fill` past k."""
+    return (*values, fill)[:2]
+
+
+def _split_values(prob: Problem, values, **floors) -> tuple[tuple, tuple]:
+    """k gammas then k deltas from `values`, checked positive with the floors."""
+    k = len(prob.components)
+    if len(values) != 2 * k:
+        raise BadParam(f"a {k}-component problem takes {k} gamma(s) then {k} "
+                       f"delta(s), got {len(values)} value(s)")
+    sub = _labels(k)
+    names = [f"gamma{i}" for i in sub] + [f"delta{i}" for i in sub] + list(floors)
+    for name, val in zip(names, [*values, *floors.values()]):
+        if val <= 0.0:
+            raise BadParam(f"{name} must be positive, got {val}")
+    return values[:k], values[k:]
+
+
+def _check_f3(gammas, deltas, kappas, letter: str, big1: float,
+              big2: float) -> HypothesisCheck:
+    ok = (all(d > gm * kp for gm, d, kp in zip(gammas, deltas, kappas))
+          and big2 > 0.0 and big1 < big2)
+    witness = [f"delta{i}/(gamma{i} kappa{i}) = {d / (gm * kp):.6g}"
+               for i, gm, d, kp in zip(_labels(len(gammas)), gammas, deltas, kappas)]
+    witness += [f"{letter}1 = {big1:.6g}", f"{letter}2 = {big2:.6g}"]
+    return HypothesisCheck("F3", ok, ", ".join(witness))
+
+
+def interval_finite(prob: Problem, *values: float,
                     strategy: str = "grid") -> IntervalReport:
-    """Admissible interval for the coupled system on a finite graph.
+    """Admissible interval on a finite graph from k gammas then k deltas:
+    T1.1 for the coupled system, T5.1 for one component.
 
     Returns the report even when hypotheses fail (valid=False); it never
     raises for a hypothesis failure.
     """
-    for name, val in (("gamma1", gamma1), ("gamma2", gamma2),
-                      ("delta1", delta1), ("delta2", delta2)):
-        if val <= 0.0:
-            raise BadParam(f"{name} must be positive, got {val}")
+    gammas, deltas = _split_values(prob, values)
+    k = len(prob.components)
     g = prob.graph
-    p, q = prob.p, prob.q
+    ls = [c.l for c in prob.components]
     model = prob.nonlinearity
     vol = g.total_measure()
     mu_min = float(np.min(g.mu))
-    h1_min = float(np.min(prob.h1.values))
-    h2_min = float(np.min(prob.h2.values))
+    h_mins = [float(np.min(c.h.values)) for c in prob.components]
 
-    gp = gamma1 ** p + gamma2 ** q
-    s_max = (p * gp) ** (1.0 / p) / (h1_min * mu_min) ** (1.0 / p)
-    t_max = (q * gp) ** (1.0 / q) / (h2_min * mu_min) ** (1.0 / q)
+    r = sum(gm ** l for gm, l in zip(gammas, ls))
+    box = tuple((l * r) ** (1.0 / l) / (hm * mu_min) ** (1.0 / l)
+                for l, hm in zip(ls, h_mins))
 
-    max_f = box_max_F(model, s_max, t_max, strategy=strategy)
-    gap = _refinement_gap_box(model, s_max, t_max) if strategy == "grid" else 0.0
-    inf_f = float(model.F(np.asarray(delta1), np.asarray(delta2)))
+    max_f = box_max_F(model, *_pad(box), strategy=strategy)
+    gap = _refinement_gap_box(model, *_pad(box)) if strategy == "grid" else 0.0
+    inf_f = float(model.F(*(np.asarray(d) for d in _pad(deltas))))
     if model.support is not None and g.n_vertices > 1:
         max_f = max(max_f, 0.0)
         inf_f = min(inf_f, 0.0)
 
-    int_h1, int_h2 = integrate(g, prob.h1), integrate(g, prob.h2)
-    phi_const = delta1 ** p / p * int_h1 + delta2 ** q / q * int_h2
-    big_l1 = max_f * vol / gp
+    phi_const = sum(d ** l / l * integrate(g, c.h)
+                    for d, l, c in zip(deltas, ls, prob.components))
+    big_l1 = max_f * vol / r
     big_l2 = inf_f * vol / phi_const
     lo, hi = _endpoints_to_lambdas(big_l1, big_l2)
 
-    k1, k2 = kappa_finite(prob)
+    kappas = kappa_finite(prob)
+    pair = " pair" if k == 2 else ""
     checks = [
-        HypothesisCheck("H", h1_min > 0.0 and h2_min > 0.0,
-                        f"min h1 = {h1_min:g}, min h2 = {h2_min:g}"),
+        HypothesisCheck("H", all(hm > 0.0 for hm in h_mins),
+                        ", ".join(f"min h{i} = {hm:g}"
+                                  for i, hm in zip(_labels(k), h_mins))),
         _check_smoothness(model),
         _check_zero_level(model, g),
-        _check_growth(model, p, q),
-        HypothesisCheck(
-            "F3",
-            delta1 > gamma1 * k1 and delta2 > gamma2 * k2
-            and big_l2 > 0.0 and big_l1 < big_l2,
-            f"delta1/(gamma1 kappa1) = {delta1 / (gamma1 * k1):.6g}, "
-            f"delta2/(gamma2 kappa2) = {delta2 / (gamma2 * k2):.6g}, "
-            f"L1 = {big_l1:.6g}, L2 = {big_l2:.6g}"),
-        HypothesisCheck("r_lt_phi", phi_const > gp,
-                        f"Phi at the constant pair = {phi_const:.6g} vs r = {gp:.6g}"),
+        _check_growth(model, *_pad(ls, math.inf)),
+        _check_f3(gammas, deltas, kappas, "L", big_l1, big_l2),
+        HypothesisCheck("r_lt_phi", phi_const > r,
+                        f"Phi at the constant{pair} = {phi_const:.6g} vs r = {r:.6g}"),
     ]
-    return _finish("T1.1", (k1, k2), (s_max, t_max), lo, hi, checks, gap)
+    return _finish(_THEOREMS["finite", k], kappas, box, lo, hi, checks, gap)
 
 
-def interval_locally_finite(prob: ProblemSpec, x0: str, gamma1: float, gamma2: float,
-                            delta1: float, delta2: float, h0: float, mu0: float,
+def interval_locally_finite(prob: Problem, x0: str, *values: float,
+                            h0: Optional[float] = None, mu0: Optional[float] = None,
                             strategy: str = "grid") -> IntervalReport:
-    """Admissible interval for the order-1 coupled system on a locally finite
-    graph, evaluated on its Dirichlet truncation.
+    """Admissible interval for an order-1 problem on a locally finite graph
+    from k gammas then k deltas, evaluated on its Dirichlet truncation:
+    T1.2 for the coupled system, T5.2 for one component.
 
     The endpoint quantities (local masses, envelope integral) are exactly
     local to x0, so any truncation containing x0 and its neighbors gives the
     same numbers.  Floors h0, mu0 are hypotheses about the full graph and are
-    taken as inputs.
+    taken as inputs.  kappa_i = (M_i/l_i)^(-1/l_i) follows the local-mass
+    convention (a potential-integral kappa would diverge on infinite graphs).
     """
-    if prob.m1 != 1 or prob.m2 != 1:
-        raise BadParam("locally finite mode requires orders m1 = m2 = 1")
-    for name, val in (("gamma1", gamma1), ("gamma2", gamma2), ("delta1", delta1),
-                      ("delta2", delta2), ("h0", h0), ("mu0", mu0)):
-        if val <= 0.0:
-            raise BadParam(f"{name} must be positive, got {val}")
+    if any(c.m != 1 for c in prob.components):
+        raise BadParam("locally finite mode requires every order to be 1")
+    if x0 is None or h0 is None or mu0 is None:
+        raise BadParam("locally finite mode needs x0 and the floors h0, mu0")
+    gammas, deltas = _split_values(prob, values, h0=h0, mu0=mu0)
+    k = len(prob.components)
     g = prob.graph
     model = prob.nonlinearity
     if model.envelope is None:
         raise MissingEnvelope("locally finite intervals need envelope data (a, b)")
     i0 = g.index(x0)
-    p, q = prob.p, prob.q
+    ls = [c.l for c in prob.components]
 
-    gp = gamma1 ** p + gamma2 ** q
-    rho = ((p * gp) ** (1.0 / p) / (h0 * mu0) ** (1.0 / p)
-           + (q * gp) ** (1.0 / q) / (h0 * mu0) ** (1.0 / q))
+    r = sum(gm ** l for gm, l in zip(gammas, ls))
+    rho = sum((l * r) ** (1.0 / l) / (h0 * mu0) ** (1.0 / l) for l in ls)
     max_a = envelope_max(model, rho, strategy=strategy)
     gap = _refinement_gap_envelope(model, rho) if strategy == "grid" else 0.0
     int_b = float(g.mu[i0])  # b is the indicator of x0
 
-    masses = local_mass(g, x0, p, q, prob.h1, prob.h2)
-    k1 = (masses.M1 / p) ** (-1.0 / p)
-    k2 = (masses.M2 / q) ** (-1.0 / q)
-    f_spike = float(model.eval_F(x0, delta1, delta2))
-    phi_spike = delta1 ** p * masses.M1 / p + delta2 ** q * masses.M2 / q
-    big_t1 = max_a * int_b / gp
+    masses = [_mass_one(g, i0, float(c.l), c.h.values) for c in prob.components]
+    kappas = tuple((mass / l) ** (-1.0 / l) for mass, l in zip(masses, ls))
+    f_spike = float(model.eval_F(x0, *_pad(deltas)))
+    phi_spike = sum(d ** l * mass / l for d, l, mass in zip(deltas, ls, masses))
+    big_t1 = max_a * int_b / r
     big_t2 = f_spike / phi_spike
     lo, hi = _endpoints_to_lambdas(big_t1, big_t2)
 
     env_gap = envelope_bound_gap(model)
     zero_spike = float(model.eval_F(x0, 0.0, 0.0))
+    h_min = min(float(np.min(c.h.values)) for c in prob.components)
+    pair = " pair" if k == 2 else ""
     checks = [
         HypothesisCheck("M", bool(np.min(g.mu) >= mu0),
                         f"min mu = {float(np.min(g.mu)):g} vs floor {mu0:g}"),
-        HypothesisCheck("H1",
-                        bool(min(np.min(prob.h1.values), np.min(prob.h2.values)) >= h0),
-                        f"min h = {min(float(np.min(prob.h1.values)), float(np.min(prob.h2.values))):g} "
-                        f"vs floor {h0:g}"),
+        HypothesisCheck("H1", bool(h_min >= h0), f"min h = {h_min:g} vs floor {h0:g}"),
         HypothesisCheck(
             "F0", _check_smoothness(model).passed and env_gap <= 1e-9,
             f"sampled |F| <= a b gap {env_gap:.3e} (bound on the partials not checked; "
             "only the F bound enters the endpoint)"),
         HypothesisCheck(
             "F1", abs(zero_spike) == 0.0 and _check_zero_level(model, g).passed,
-            f"F(x0, 0, 0) = {zero_spike:g}"),
-        _check_growth(model, p, q),
-        HypothesisCheck(
-            "F3",
-            delta1 > gamma1 * k1 and delta2 > gamma2 * k2
-            and big_t2 > 0.0 and big_t1 < big_t2,
-            f"delta1/(gamma1 kappa1) = {delta1 / (gamma1 * k1):.6g}, "
-            f"delta2/(gamma2 kappa2) = {delta2 / (gamma2 * k2):.6g}, "
-            f"T1 = {big_t1:.6g}, T2 = {big_t2:.6g}"),
-        HypothesisCheck("r_lt_phi", phi_spike > gp,
-                        f"Phi at the spike pair = {phi_spike:.6g} vs r = {gp:.6g}"),
+            f"F(x0, {', '.join(['0'] * k)}) = {zero_spike:g}"),
+        _check_growth(model, *_pad(ls, math.inf)),
+        _check_f3(gammas, deltas, kappas, "T", big_t1, big_t2),
+        HypothesisCheck("r_lt_phi", phi_spike > r,
+                        f"Phi at the spike{pair} = {phi_spike:.6g} vs r = {r:.6g}"),
     ]
-    return _finish("T1.2", (k1, k2), (rho,), lo, hi, checks, gap)
-
-
-def interval_scalar(prob: ScalarProblem, gamma: float, delta: float,
-                    mode: str = "finite", x0: Optional[str] = None,
-                    h0: Optional[float] = None, mu0: Optional[float] = None,
-                    strategy: str = "grid") -> IntervalReport:
-    """Scalar analogues of the two interval computations.
-
-    mode="finite" mirrors the finite coupled case with a single (gamma,
-    delta); mode="locally_finite" uses the envelope and the local mass M at
-    x0, with kappa = (M/p)^(-1/p) (a potential-integral kappa would diverge
-    on infinite graphs; see report notes).
-    """
-    if gamma <= 0.0 or delta <= 0.0:
-        raise BadParam(f"gamma and delta must be positive, got ({gamma}, {delta})")
-    g = prob.graph
-    p = prob.p
-    model = prob.nonlinearity
-    gp = gamma ** p
-
-    if mode == "finite":
-        vol = g.total_measure()
-        mu_min = float(np.min(g.mu))
-        h_min = float(np.min(prob.h.values))
-        s_max = (p * gp) ** (1.0 / p) / (h_min * mu_min) ** (1.0 / p)
-        max_f = box_max_F(model, s_max, 0.0, strategy=strategy)
-        gap = _refinement_gap_box(model, s_max, 0.0) if strategy == "grid" else 0.0
-        inf_f = float(model.F(np.asarray(delta), np.asarray(0.0)))
-        if model.support is not None and g.n_vertices > 1:
-            max_f = max(max_f, 0.0)
-            inf_f = min(inf_f, 0.0)
-        int_h = integrate(g, prob.h)
-        phi_const = delta ** p / p * int_h
-        big_l1 = max_f * vol / gp
-        big_l2 = inf_f * vol / phi_const
-        lo, hi = _endpoints_to_lambdas(big_l1, big_l2)
-        kappa = kappa_scalar_finite(prob)
-        checks = [
-            HypothesisCheck("H", h_min > 0.0, f"min h = {h_min:g}"),
-            _check_smoothness(model),
-            _check_zero_level(model, g),
-            _check_growth(model, p, math.inf),
-            HypothesisCheck(
-                "F3", delta > gamma * kappa and big_l2 > 0.0 and big_l1 < big_l2,
-                f"delta/(gamma kappa) = {delta / (gamma * kappa):.6g}, "
-                f"L1 = {big_l1:.6g}, L2 = {big_l2:.6g}"),
-            HypothesisCheck("r_lt_phi", phi_const > gp,
-                            f"Phi at the constant = {phi_const:.6g} vs r = {gp:.6g}"),
-        ]
-        return _finish("T5.1", (kappa,), (s_max,), lo, hi, checks, gap)
-
-    if mode != "locally_finite":
-        raise BadParam(f"unknown mode {mode!r}")
-    if prob.m != 1:
-        raise BadParam("locally finite mode requires order m = 1")
-    if x0 is None or h0 is None or mu0 is None:
-        raise BadParam("locally finite mode needs x0 and the floors h0, mu0")
-    if h0 <= 0.0 or mu0 <= 0.0:
-        raise BadParam(f"floors must be positive, got h0={h0}, mu0={mu0}")
-    if model.envelope is None:
-        raise MissingEnvelope("locally finite intervals need envelope data (a, b)")
-    i0 = g.index(x0)
-
-    rho = (p * gp) ** (1.0 / p) / (h0 * mu0) ** (1.0 / p)
-    max_a = envelope_max(model, rho, strategy=strategy)
-    gap = _refinement_gap_envelope(model, rho) if strategy == "grid" else 0.0
-    int_b = float(g.mu[i0])
-    mass = local_mass(g, x0, p, None, prob.h).M1
-    kappa = (mass / p) ** (-1.0 / p)
-    f_spike = float(model.eval_F(x0, delta, 0.0))
-    phi_spike = delta ** p * mass / p
-    big_t1 = max_a * int_b / gp
-    big_t2 = f_spike / phi_spike
-    lo, hi = _endpoints_to_lambdas(big_t1, big_t2)
-
-    env_gap = envelope_bound_gap(model)
-    zero_spike = float(model.eval_F(x0, 0.0, 0.0))
-    checks = [
-        HypothesisCheck("M", bool(np.min(g.mu) >= mu0),
-                        f"min mu = {float(np.min(g.mu)):g} vs floor {mu0:g}"),
-        HypothesisCheck("H1", bool(np.min(prob.h.values) >= h0),
-                        f"min h = {float(np.min(prob.h.values)):g} vs floor {h0:g}"),
-        HypothesisCheck(
-            "F0", _check_smoothness(model).passed and env_gap <= 1e-9,
-            f"sampled |F| <= a b gap {env_gap:.3e} (bound on the partials not checked; "
-            "only the F bound enters the endpoint)"),
-        HypothesisCheck("F1", abs(zero_spike) == 0.0 and _check_zero_level(model, g).passed,
-                        f"F(x0, 0) = {zero_spike:g}"),
-        _check_growth(model, p, math.inf),
-        HypothesisCheck(
-            "F3", delta > gamma * kappa and big_t2 > 0.0 and big_t1 < big_t2,
-            f"delta/(gamma kappa) = {delta / (gamma * kappa):.6g}, "
-            f"T1 = {big_t1:.6g}, T2 = {big_t2:.6g}"),
-        HypothesisCheck("r_lt_phi", phi_spike > gp,
-                        f"Phi at the spike = {phi_spike:.6g} vs r = {gp:.6g}"),
-    ]
-    notes = (
+    notes = () if k == 2 else (
         "kappa follows the local-mass convention (M/p)^(-1/p); a "
         "potential-integral kappa has no finite value on infinite graphs.",
         "the lower-endpoint numerator is F(x0, delta), matching the coupled case.",
     )
-    return _finish("T5.2", (kappa,), (rho,), lo, hi, checks, gap, notes)
+    return _finish(_THEOREMS["locally_finite", k], kappas, (rho,), lo, hi, checks, gap,
+                   notes)
+
+
+def interval_scalar(prob: Problem, gamma: float, delta: float,
+                    mode: str = "finite", x0: Optional[str] = None,
+                    h0: Optional[float] = None, mu0: Optional[float] = None,
+                    strategy: str = "grid") -> IntervalReport:
+    """The one-component intervals: T5.1 for mode="finite", T5.2 for
+    mode="locally_finite" (which needs x0 and the floors h0, mu0)."""
+    if mode == "finite":
+        return interval_finite(prob, gamma, delta, strategy=strategy)
+    if mode != "locally_finite":
+        raise BadParam(f"unknown mode {mode!r}")
+    return interval_locally_finite(prob, x0, gamma, delta, h0=h0, mu0=mu0,
+                                   strategy=strategy)

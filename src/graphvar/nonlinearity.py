@@ -89,9 +89,6 @@ class NonlinearityModel:
     def eval_Fs(self, x: str, s, t):
         return self._at(x, self.Fs, s, t)
 
-    def eval_Ft(self, x: str, s, t):
-        return self._at(x, self.Ft, s, t)
-
     # -- vectorized per-graph paths -----------------------------------------
 
     def _on(self, g: WeightedGraph, fn: Evaluator, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ and can be overridden; the interval endpoints do not depend on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BadParam
-from .functionals import ProblemSpec, ScalarProblem
+from .functionals import Problem, ProblemSpec, ScalarProblem
 from .graph import (
     VertexFunction,
     WeightedGraph,
@@ -45,17 +45,13 @@ class PreparedProblem:
     """A problem plus everything the interval computation needs."""
 
     key: str
-    problem: Union[ProblemSpec, ScalarProblem]
+    problem: Problem
     mode: str  # finite | locally_finite
     gammas: tuple[float, ...]
     deltas: tuple[float, ...]
     x0: Optional[str] = None
     h0: Optional[float] = None
     mu0: Optional[float] = None
-
-    @property
-    def scalar(self) -> bool:
-        return isinstance(self.problem, ScalarProblem)
 
 
 def builtin_problem(key: str, r1: float = 2.0, r2: float = 3.0,

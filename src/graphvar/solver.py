@@ -34,17 +34,14 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BadParam, ConvergedToKnown, SingularExponent
-from .functionals import ProblemSpec, ScalarProblem, StatePair
+from .functionals import Problem, State, StatePair
 from .graph import VertexFunction
 from .nonlinearity import derivative_consistency
-
-Problem = Union[ProblemSpec, ScalarProblem]
-State = Union[StatePair, VertexFunction]
 
 NEWTON_SWITCH = 1e-3
 ARMIJO_C = 1e-4
@@ -124,12 +121,6 @@ def _thread_cap() -> int:
         return 1
 
 
-def _mu_stack(prob: Problem) -> np.ndarray:
-    mu = prob.graph.mu
-    reps = prob.n_dofs // len(mu)
-    return np.concatenate([mu] * reps)
-
-
 def _sup(res: np.ndarray) -> float:
     val = float(np.max(np.abs(res)))
     return val if np.isfinite(val) else np.inf
@@ -163,18 +154,17 @@ def _balls(g, radius: int) -> list[np.ndarray]:
 def _sparsity(prob: Problem) -> list[np.ndarray]:
     """Row i of the result lists the coordinates residual row i depends on.
 
-    Each component couples within its operator's reach; the coupled system
-    adds the same-vertex (u_x, v_x) entries, which hold for any pointwise
-    nonlinearity.
+    Each component couples within its operator's reach; with two components
+    a row also holds the other component at the same vertex, which any
+    pointwise nonlinearity can couple.
     """
     g = prob.graph
-    if isinstance(prob, ScalarProblem):
-        return _balls(g, _hops(prob.m))
     n = g.n_vertices
-    rows_u = _balls(g, _hops(prob.m1))
-    rows_v = _balls(g, _hops(prob.m2))
-    return ([np.append(rows_u[x], n + x) for x in range(n)]
-            + [np.insert(n + rows_v[x], 0, x) for x in range(n)])
+    k = len(prob.components)
+    balls = [_balls(g, _hops(c.m)) for c in prob.components]
+    return [np.concatenate([d * n + (balls[c][x] if d == c else np.array([x]))
+                            for d in range(k)])
+            for c in range(k) for x in range(n)]
 
 
 def _colour_columns(pattern: list[np.ndarray]) -> np.ndarray:
@@ -271,7 +261,7 @@ DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polis
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
                 groups: _Groups) -> _RawPoint:
     z = np.asarray(z0, dtype=float).copy()
-    mu = _mu_stack(prob)
+    mu = prob.mu_dofs
     iters = 0
     t_warm = 1.0
     prev_z = None
@@ -334,7 +324,7 @@ def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
             if rsup <= target_soft and not fast:
                 break
             hess = _hessian(prob, lam, z, groups)
-            grad = _mu_stack(prob) * res
+            grad = prob.mu_dofs * res
             moved = False
             for _ in range(25):
                 try:

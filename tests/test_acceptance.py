@@ -89,10 +89,11 @@ def test_criterion_2_interval_62(tmp_path):
     assert rel_err(doc["lambda_lo"], REFERENCE_LO_62) < 2e-2
     assert rel_err(doc["lambda_hi"], REFERENCE_HI_62) < 2e-2
     prep = builtin_problem("example-6.2")
-    mass = gv.local_mass(prep.problem.graph, prep.x0, prep.problem.p, None,
-                         prep.problem.h).M1
+    mass = gv.local_mass(prep.problem.graph, prep.x0, prep.problem.components[0].l, None,
+                         prep.problem.components[0].h).M1
     assert mass == 16.0
-    kappa = (mass / prep.problem.p) ** (-1.0 / prep.problem.p)
+    p = prep.problem.components[0].l
+    kappa = (mass / p) ** (-1.0 / p)
     assert abs(prep.gammas[0] * kappa - 1.0) < 1e-12
     assert elapsed < 1.0
     _ok(2, f"interval 6.2 = ({doc['lambda_lo']:.4g}, {doc['lambda_hi']:.4g}) "
@@ -237,8 +238,8 @@ def test_criterion_7_monotonicity():
             gap = gv.monotonicity_gap(prob, w1, w2)
             du = gv.VertexFunction(g, w1.u.values - w2.u.values)
             dv = gv.VertexFunction(g, w1.v.values - w2.v.values)
-            nu = gv.w_norm(g, du, prob.spec_u())
-            nv = gv.w_norm(g, dv, prob.spec_v())
+            nu = gv.w_norm(g, du, prob.components[0])
+            nv = gv.w_norm(g, dv, prob.components[1])
             slack = 1e-9 * max(1.0, abs(gap))
             bound = 2.0 ** (2 - p) * nu ** p + 2.0 ** (2 - q) * nv ** q
             assert gap + slack >= bound

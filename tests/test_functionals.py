@@ -48,8 +48,8 @@ def test_phi_at_constants_formula():
     prob = random_problem(rng, m1=2, m2=1, p=2.0, q=3.0)
     d1, d2 = 1.7, 0.9
     got = gv.phi_energy(prob, const_pair(prob.graph, d1, d2))
-    want = (d1 ** 2 / 2.0 * gv.integrate(prob.graph, prob.h1)
-            + d2 ** 3 / 3.0 * gv.integrate(prob.graph, prob.h2))
+    want = (d1 ** 2 / 2.0 * gv.integrate(prob.graph, prob.components[0].h)
+            + d2 ** 3 / 3.0 * gv.integrate(prob.graph, prob.components[1].h))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_phi_homogeneity(prep61):
     base = gv.phi_energy(prob, gv.StatePair(u, zero))
     for t in (0.5, 2.0, 7.0):
         scaled = gv.StatePair(gv.VertexFunction(prob.graph, t * u.values), zero)
-        assert gv.phi_energy(prob, scaled) == pytest.approx(t ** prob.p * base, rel=1e-12)
+        assert gv.phi_energy(prob, scaled) == pytest.approx(t ** prob.components[0].l * base, rel=1e-12)
 
 
 def test_psi_constants_vertex_independent(prep61):
@@ -158,8 +158,8 @@ def test_monotonicity_gap_quadratic_case_exact():
         gap = gv.monotonicity_gap(prob, w1, w2)
         du = gv.VertexFunction(prob.graph, w1.u.values - w2.u.values)
         dv = gv.VertexFunction(prob.graph, w1.v.values - w2.v.values)
-        want = (gv.w_norm(prob.graph, du, prob.spec_u()) ** 2
-                + gv.w_norm(prob.graph, dv, prob.spec_v()) ** 2)
+        want = (gv.w_norm(prob.graph, du, prob.components[0]) ** 2
+                + gv.w_norm(prob.graph, dv, prob.components[1]) ** 2)
         assert rel_close(gap, want, 1e-10)
         assert gap > 0.0
 
@@ -175,8 +175,8 @@ def test_monotonicity_gap_lower_bounds_sampled():
             gap = gv.monotonicity_gap(prob, w1, w2)
             du = gv.VertexFunction(prob.graph, w1.u.values - w2.u.values)
             dv = gv.VertexFunction(prob.graph, w1.v.values - w2.v.values)
-            nu = gv.w_norm(prob.graph, du, prob.spec_u())
-            nv = gv.w_norm(prob.graph, dv, prob.spec_v())
+            nu = gv.w_norm(prob.graph, du, prob.components[0])
+            nv = gv.w_norm(prob.graph, dv, prob.components[1])
             bound = 2.0 ** (2 - p) * nu ** p + 2.0 ** (2 - q) * nv ** q
             assert gap + 1e-9 * max(1.0, abs(gap)) >= bound
             t = nu + nv

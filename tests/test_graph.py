@@ -161,6 +161,22 @@ def test_vertex_function_validation(p2):
     assert u.as_dict() == {"a": 1.0, "b": 2.0}
 
 
+def test_equal_graphs_hash_equal():
+    assert len({gv.grid3x3(), gv.grid3x3()}) == 1
+    rng = np.random.default_rng(12)
+    g = random_graph(rng)
+    assert hash(gv.build_graph(gv.serialize(g))) == hash(g)
+
+
+def test_vertex_function_leaves_the_callers_array_alone(p2):
+    arr = np.array([1.0, 2.0])
+    u = gv.VertexFunction(p2, arr)
+    assert arr.flags.writeable
+    arr[0] = 5.0
+    assert u.values[0] == 1.0
+    assert not u.values.flags.writeable
+
+
 def test_vertex_order_is_lexicographic():
     g = gv.WeightedGraph(["z", "a", "m"], {"z": 1, "a": 1, "m": 1}, [])
     assert g.vertices == ("a", "m", "z")

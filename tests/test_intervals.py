@@ -67,7 +67,7 @@ def test_kappa_p2(p2):
 
 def test_local_mass_reference(prep62):
     g = prep62.problem.graph
-    m = gv.local_mass(g, prep62.x0, 3.0, None, prep62.problem.h)
+    m = gv.local_mass(g, prep62.x0, 3.0, None, prep62.problem.components[0].h)
     assert m.M1 == 16.0
     assert m.M2 is None
 
@@ -149,7 +149,8 @@ def test_interval_61_strict_inequality_required(prep61):
 def test_interval_zero_nonlinearity_fails_f3(prep61):
     prob61 = prep61.problem
     prob = gv.ProblemSpec(graph=prob61.graph, m1=2, m2=2, p=2.0, q=3.0,
-                          h1=prob61.h1, h2=prob61.h2, nonlinearity=zero_model())
+                          h1=prob61.components[0].h, h2=prob61.components[1].h,
+                          nonlinearity=zero_model())
     rep = gv.interval_finite(prob, *prep61.gammas, *prep61.deltas)
     assert not rep.valid
     assert math.isinf(rep.lambda_lo)
@@ -164,7 +165,7 @@ def test_interval_61_valid_implies_r_below_phi(prep61):
     w = gv.StatePair(gv.VertexFunction.constant(prob.graph, prep61.deltas[0]),
                      gv.VertexFunction.constant(prob.graph, prep61.deltas[1]))
     assert rep.valid
-    assert gv.phi_energy(prob, w) > g1 ** prob.p + g2 ** prob.q
+    assert gv.phi_energy(prob, w) > g1 ** prob.components[0].l + g2 ** prob.components[1].l
 
 
 def test_interval_finite_param_validation(prep61):
@@ -206,7 +207,8 @@ def test_interval_locally_finite_requires_order_one(prep61):
 def test_interval_locally_finite_needs_envelope():
     prob, x0 = coupled_lattice_problem()
     bare = gv.ProblemSpec(graph=prob.graph, m1=1, m2=1, p=3.0, q=3.0,
-                          h1=prob.h1, h2=prob.h2, nonlinearity=zero_model())
+                          h1=prob.components[0].h, h2=prob.components[1].h,
+                          nonlinearity=zero_model())
     with pytest.raises(MissingEnvelope):
         gv.interval_locally_finite(bare, x0, 1.0, 1.0, 2.0, 2.0, h0=1.0, mu0=1.0)
 
@@ -220,7 +222,8 @@ def test_interval_locally_finite_zero_envelope_fails_f3():
                               support=x0),
         s_scale=1.0, t_scale=1.0)
     prob2 = gv.ProblemSpec(graph=prob.graph, m1=1, m2=1, p=3.0, q=3.0,
-                           h1=prob.h1, h2=prob.h2, nonlinearity=dead)
+                           h1=prob.components[0].h, h2=prob.components[1].h,
+                           nonlinearity=dead)
     rep = gv.interval_locally_finite(prob2, x0, 1.0, 1.0, 2.0, 2.0, h0=4.0, mu0=1.0)
     assert not rep.valid
     assert "F3" in {h.name for h in rep.hypotheses if not h.passed}
@@ -233,9 +236,10 @@ def test_truncated_spike_energy_matches_local_mass(prep62):
     delta = prep62.deltas[0]
     u = gv.VertexFunction(prob.graph,
                           delta * gv.VertexFunction.indicator(prob.graph, prep62.x0).values)
-    phi = w_norm_power(prob.graph, u, SobolevSpec(1, prob.p, prob.h)) / prob.p
-    mass = gv.local_mass(prob.graph, prep62.x0, prob.p, None, prob.h).M1
-    assert rel_close(phi, delta ** prob.p * mass / prob.p, 1e-10)
+    p, h = prob.components[0].l, prob.components[0].h
+    phi = w_norm_power(prob.graph, u, SobolevSpec(1, p, h)) / p
+    mass = gv.local_mass(prob.graph, prep62.x0, p, None, h).M1
+    assert rel_close(phi, delta ** p * mass / p, 1e-10)
 
 
 # -- the scalar intervals ---------------------------------------------------
@@ -271,7 +275,7 @@ def test_interval_scalar_finite_smoke(prep61):
         Ft=lambda s, t: np.zeros_like(np.asarray(s, dtype=float)),
         seams_s=m61.seams_s, s_scale=m61.s_scale, t_scale=0.0)
     prob = ScalarProblem(graph=prep61.problem.graph, m=2, p=2.0,
-                         h=prep61.problem.h1, nonlinearity=reduced)
+                         h=prep61.problem.components[0].h, nonlinearity=reduced)
     rep = gv.interval_scalar(prob, prep61.gammas[0], prep61.deltas[0], mode="finite")
     assert rep.theorem == "T5.1"
     assert math.isfinite(rep.lambda_lo) and rep.lambda_lo > 0.0
@@ -321,7 +325,7 @@ def reduced_scalar_problem(prob61):
         Fs=lambda s, t: m61.Fs(s, 0.0 * s),
         Ft=lambda s, t: np.zeros_like(np.asarray(s, dtype=float)),
         seams_s=m61.seams_s, s_scale=m61.s_scale, t_scale=0.0)
-    return ScalarProblem(graph=prob61.graph, m=2, p=2.0, h=prob61.h1,
+    return ScalarProblem(graph=prob61.graph, m=2, p=2.0, h=prob61.components[0].h,
                          nonlinearity=reduced)
 
 

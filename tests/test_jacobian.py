@@ -127,3 +127,44 @@ def test_kind_is_classified_at_the_returned_point(solve61):
     for pt in sset.points:
         fresh = solver._classify(prob, 0.3, prob.pack_state(pt.state), groups)
         assert pt.kind == fresh
+
+
+# -- one problem type: the k = 2 blocks are k = 1 problems -------------------
+
+def t_blind():
+    """A model whose F ignores t, so the v-equation carries no nonlinearity."""
+    return gv.NonlinearityModel(
+        name="t-blind", F=lambda s, t: np.sin(s) + 0.25 * s ** 2,
+        Fs=lambda s, t: np.cos(s) + 0.5 * s, Ft=lambda s, t: np.zeros_like(s),
+        s_scale=2.0, t_scale=2.0)
+
+
+def zero_model():
+    z = lambda s, t: np.zeros_like(s)
+    return gv.NonlinearityModel(name="zero", F=z, Fs=z, Ft=z, s_scale=1.0, t_scale=1.0)
+
+
+@st.composite
+def coupled_states(draw):
+    g = draw(weighted_graphs())
+    n = g.n_vertices
+    h1, h2 = (gv.VertexFunction(g, draw(arrays(np.float64, n, elements=POSITIVE)))
+              for _ in range(2))
+    m1, m2, p, q = draw(ORDERS), draw(ORDERS), draw(EXPONENTS), draw(EXPONENTS)
+    z = draw(arrays(np.float64, 2 * n, elements=st.floats(-2.5, 2.5)))
+    return g, (m1, p, h1), (m2, q, h2), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled_states())
+def test_coupled_blocks_are_scalar_problems_bitwise(case):
+    g, (m1, p, h1), (m2, q, h2), z = case
+    n = g.n_vertices
+    coupled = gv.ProblemSpec(graph=g, m1=m1, m2=m2, p=p, q=q, h1=h1, h2=h2,
+                             nonlinearity=t_blind())
+    first = gv.ScalarProblem(graph=g, m=m1, p=p, h=h1, nonlinearity=t_blind())
+    second = gv.ScalarProblem(graph=g, m=m2, p=q, h=h2, nonlinearity=zero_model())
+    res = coupled.residual_vec(0.7, z)
+    assert res[:n].tobytes() == first.residual_vec(0.7, z[:n]).tobytes()
+    assert res[n:].tobytes() == second.residual_vec(0.7, z[n:]).tobytes()
+    assert coupled.wnorm_vec(z) == first.wnorm_vec(z[:n]) + second.wnorm_vec(z[n:])
