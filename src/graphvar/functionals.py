@@ -105,10 +105,12 @@ class Problem:
         parts = [VertexFunction(self.graph, z[sl]) for sl, *_ in self._blocks]
         return parts[0] if len(parts) == 1 else StatePair(*parts)
 
-    def _slots(self, z: np.ndarray) -> list[np.ndarray]:
-        """The nonlinearity's (s, t) arguments at z: zeros past k."""
-        slots = [z[sl] for sl, *_ in self._blocks]
-        return slots + [np.zeros_like(z)] * (2 - len(slots))
+    def _slots(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nonlinearity's (s, t) arguments at z: t = 0 for one component."""
+        if len(self.components) == 1:
+            return z, np.zeros_like(z)
+        n = self.graph.n_vertices
+        return z[:n], z[n:]
 
     def action_vec(self, lam: float, z: np.ndarray) -> float:
         """The action at z; lam = 0 gives sum_i (1/l_i) ||u_i||^{l_i}."""
@@ -125,11 +127,11 @@ class Problem:
         g = self.graph
         out = [_phi_grad_arr(g, z[sl], m, l, h) for sl, m, l, h in self._blocks]
         if lam != 0.0:
-            model, slots = self.nonlinearity, self._slots(z)
-            out[0] = out[0] - lam * model.Fs_on(g, *slots)
+            model, (s, t) = self.nonlinearity, self._slots(z)
+            out[0] = out[0] - lam * model.Fs_on(g, s, t)
             if len(out) == 2:
-                out[1] = out[1] - lam * model.Ft_on(g, *slots)
-        return np.concatenate(out)
+                out[1] = out[1] - lam * model.Ft_on(g, s, t)
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
         """Euclidean gradient of action_vec: the residual weighted by mu."""
@@ -183,9 +185,11 @@ def phi_energy(prob: Problem, w: State) -> float:
 
 
 def psi_energy(prob: Problem, w: State) -> float:
-    """Integral of F(x, u(x), v(x)) against the vertex measure."""
+    """Integral of F(x, u(x), v(x)) against the vertex measure (v = 0 for
+    one component)."""
     g = prob.graph
-    return float(np.dot(g.mu, prob.nonlinearity.F_on(g, *prob._slots(prob.pack_state(w)))))
+    slots = prob._slots(prob.pack_state(w))
+    return float(np.dot(g.mu, prob.nonlinearity.F_on(g, *slots)))
 
 
 def action(prob: Problem, lam: float, w: State) -> float:
