@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,20 @@ def test_find_three_threaded_matches_serial(prep61, monkeypatch):
     threaded = gv.find_three(prep61.problem, 0.3, cfg,
                              start_radius=1.0 + max(prep61.deltas))
     assert solution_set_to_json(serial) == solution_set_to_json(threaded)
+
+
+# Full solution-set text of two solves that reach deflation; a solve that
+# moves in any digit fails here.
+PINS = Path(__file__).parent / "pins"
+
+
+@pytest.mark.parametrize("key, lam, seed, starts", [("example-6.1", 0.3, 7, 6),
+                                                    ("example-6.2", 1.0, 42, 4)])
+def test_find_three_matches_pin(key, lam, seed, starts):
+    prep = builtin_problem(key)
+    sset = gv.find_three(prep.problem, lam, gv.SolverConfig(seed=seed, starts=starts),
+                         start_radius=1.0 + max(prep.deltas))
+    assert solution_set_to_json(sset) == (PINS / f"solve-{key}.json").read_text()
 
 
 def test_solver_rejects_exponents_below_two(p2, cfg):
