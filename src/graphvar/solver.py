@@ -10,18 +10,17 @@ together, one greedy colour group per residual pair, with the same values
 as one column at a time.  Additional critical points, including saddle-type ones, come
 from Newton iterations on the deflated residual
 
-    R(z) = G(z) * prod_k (1 / ||z - z_k||^power + shift),
+    R(z) = G(z) * prod_k (1 / ||z - z_k||^2 + 1),
 
-which removes already-found zeros z_k from the basin structure.  Distinct-
-ness of solutions is always measured in the product Sobolev norm; the
-deflation factor itself uses the plain euclidean distance, which keeps its
-gradient trivial.
+which removes already-found zeros z_k from the basin structure (Farrell,
+Birkisson & Funke 2015, with DEFLATION_POWER = 2 and DEFLATION_SHIFT = 1).
+Distinctness of solutions is always measured in the product Sobolev norm;
+the deflation factor itself uses the plain euclidean distance, which keeps
+its gradient trivial.
 
 Reproducibility: start k draws its coordinates from a counter-based
-generator keyed by (seed, k), so results do not depend on scheduling.
-Multistart branches may run on a small thread pool capped by the
-GRAPHVAR_THREADS environment variable; results are merged in start-index
-order either way.
+generator keyed by (seed, k), and starts run one after another in index
+order.
 
 Exponents below 2 are rejected (the zero-order term |s|^(p-2) s is not
 Lipschitz there); interval computations alone support the full range.
@@ -30,11 +29,9 @@ Lipschitz there); interval computations alone support the full range.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +45,8 @@ ARMIJO_C = 1e-4
 DIVERGE_ACTION = -1e12
 DIVERGE_NORM = 1e8
 FD_SCALE = 1e-6
+DEFLATION_POWER = 2.0
+DEFLATION_SHIFT = 1.0
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     distinct_tol: float = 1e-4
     seed: int = 0
-    deflation_power: float = 2.0
-    deflation_shift: float = 1.0
 
     def __post_init__(self):
         if self.starts < 1:
@@ -112,13 +109,6 @@ def _check_lam(lam: float) -> float:
     if lam <= 0.0:
         raise BadParam(f"the parameter must be positive, got {lam}")
     return lam
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("GRAPHVAR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sup(res: np.ndarray) -> float:
@@ -373,8 +363,8 @@ def residual(prob: Problem, lam: float, state: State) -> float:
 # deflation
 # ---------------------------------------------------------------------------
 
-def _deflation_factor(z: np.ndarray, knowns: Sequence[np.ndarray],
-                      power: float, shift: float) -> tuple[float, np.ndarray]:
+def _deflation_factor(z: np.ndarray,
+                      knowns: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
     """Value and euclidean gradient of the deflation multiplier."""
     m = 1.0
     grad = np.zeros_like(z)
@@ -382,10 +372,16 @@ def _deflation_factor(z: np.ndarray, knowns: Sequence[np.ndarray],
         d = z - zk
         dist = float(np.linalg.norm(d))
         dist = max(dist, 1e-300)
-        rho = dist ** (-power) + shift
+        rho = dist ** (-DEFLATION_POWER) + DEFLATION_SHIFT
         m *= rho
-        grad += (-power * dist ** (-power - 2.0) / rho) * d
+        grad += (-DEFLATION_POWER * dist ** (-DEFLATION_POWER - 2.0) / rho) * d
     return m, m * grad
+
+
+def _distinct(prob: Problem, z: np.ndarray, knowns: Iterable[np.ndarray],
+              tol: float) -> bool:
+    """Whether z lies farther than tol (product-norm) from every known point."""
+    return all(prob.wnorm_vec(z - zk) > tol for zk in knowns)
 
 
 def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
@@ -399,7 +395,7 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
     fast = True
     with np.errstate(over="ignore", invalid="ignore"):
         res = prob.residual_vec(lam, z)
-        m, dm = _deflation_factor(z, knowns, cfg.deflation_power, cfg.deflation_shift)
+        m, dm = _deflation_factor(z, knowns)
         defres = m * res
         iters = 0
         stalls = 0
@@ -419,8 +415,7 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
                     continue
                 cand = z + step
                 cres = prob.residual_vec(lam, cand)
-                cm, cdm = _deflation_factor(cand, knowns, cfg.deflation_power,
-                                            cfg.deflation_shift)
+                cm, cdm = _deflation_factor(cand, knowns)
                 cdef = cm * cres
                 if (np.isfinite(cdef).all()
                         and np.linalg.norm(cdef) < np.linalg.norm(defres)):
@@ -453,16 +448,12 @@ def deflated_solve(prob: Problem, lam: float, known: Sequence[State],
     _check_problem(prob)
     z0 = prob.pack_state(start)
     knowns = [prob.pack_state(k) for k in known]
-    for zk in knowns:
-        if prob.wnorm_vec(z0 - zk) <= cfg.distinct_tol:
-            raise ConvergedToKnown("start lies within distinct_tol of a known point")
+    if not _distinct(prob, z0, knowns, cfg.distinct_tol):
+        raise ConvergedToKnown("start lies within distinct_tol of a known point")
     groups = _jacobian_groups(prob)
     raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
-    if raw.converged:
-        for zk in knowns:
-            if prob.wnorm_vec(raw.z - zk) <= cfg.distinct_tol:
-                raise ConvergedToKnown(
-                    "deflated iteration converged to an already-known point")
+    if raw.converged and not _distinct(prob, raw.z, knowns, cfg.distinct_tol):
+        raise ConvergedToKnown("deflated iteration converged to an already-known point")
     return _finalize(prob, lam, raw, groups)
 
 
@@ -496,24 +487,11 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     radius = float(start_radius) if start_radius is not None else 1.0 + prob.start_scale
 
     groups = _jacobian_groups(prob)
-    indices = range(cfg.starts + 1)  # index 0 is the deterministic origin start
-
-    def run(i: int) -> _RawPoint:
-        return _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius), cfg,
-                          groups)
-
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raws = list(pool.map(run, indices))
-    else:
-        raws = [run(i) for i in indices]
-
     accepted: list[_RawPoint] = []
-    for raw in raws:  # start-index order keeps the merge deterministic
-        if not raw.converged:
-            continue
-        if all(prob.wnorm_vec(raw.z - kept.z) > cfg.distinct_tol for kept in accepted):
+    for i in range(cfg.starts + 1):  # index 0 is the deterministic origin start
+        raw = _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius), cfg, groups)
+        if raw.converged and _distinct(prob, raw.z, (a.z for a in accepted),
+                                       cfg.distinct_tol):
             accepted.append(raw)
 
     attempts = max(32, cfg.starts)
@@ -528,9 +506,7 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
         attempt += 1
         knowns = [a.z for a in accepted]
         raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
-        if not raw.converged:
-            continue
-        if all(prob.wnorm_vec(raw.z - zk) > cfg.distinct_tol for zk in knowns):
+        if raw.converged and _distinct(prob, raw.z, knowns, cfg.distinct_tol):
             accepted.append(raw)
 
     accepted.sort(key=lambda r: r.action)

@@ -2,8 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import graphvar as gv
+from graphvar import solver
 from graphvar.errors import BadParam, ConvergedToKnown, SingularExponent
 from graphvar.problems import builtin_problem
 from graphvar.solver import solution_set_to_json
@@ -160,6 +164,59 @@ def test_deflated_finds_second_point(prep61, cfg):
     # regression fixture for this seeded path (a saddle above the minimizer)
     assert second.action_value == pytest.approx(1940.3400633245, rel=1e-6)
     assert second.kind == "saddle"
+
+
+# -- deflation properties (Farrell, Birkisson & Funke 2015) --------------------
+
+COORD = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def points_and_knowns(draw):
+    """A point and one to three known points at least 0.25 away from it."""
+    n = draw(st.integers(1, 6))
+    z = draw(arrays(np.float64, n, elements=COORD))
+    knowns = draw(st.lists(arrays(np.float64, n, elements=COORD), min_size=1, max_size=3))
+    assume(all(np.linalg.norm(z - zk) >= 0.25 for zk in knowns))
+    return z, knowns
+
+
+@settings(max_examples=80, deadline=None)
+@given(points_and_knowns())
+def test_deflation_gradient_matches_central_differences(case):
+    z, knowns = case
+    m, grad = solver._deflation_factor(z, knowns)
+    h = 1e-6
+    fd = np.empty_like(z)
+    for j in range(len(z)):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += h
+        zm[j] -= h
+        fd[j] = (solver._deflation_factor(zp, knowns)[0]
+                 - solver._deflation_factor(zm, knowns)[0]) / (2.0 * h)
+    assert m >= 1.0
+    assert np.max(np.abs(fd - grad)) <= 1e-6 * max(1.0, float(np.max(np.abs(grad))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.2, 1.5))
+def test_deflated_residual_grows_toward_a_known_root(seed, lam):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_min=2, n_max=6)
+    prob = linear_problem(g)
+    u = np.linalg.solve(neg_laplacian_matrix(g) + np.eye(g.n_vertices),
+                        lam * np.ones(g.n_vertices))
+    root = np.concatenate([u, np.zeros(g.n_vertices)])
+    d = rng.normal(size=prob.n_dofs)
+    d /= np.linalg.norm(d)
+    plain, deflated = [], []
+    for t in 0.5 ** np.arange(1, 16):  # 0.5 down to 3e-5 from the root
+        z = root + t * d
+        res = np.linalg.norm(prob.residual_vec(lam, z))
+        plain.append(res)
+        deflated.append(solver._deflation_factor(z, [root])[0] * res)
+    assert np.all(np.diff(plain) < 0.0)  # the undeflated residual vanishes there
+    assert np.all(np.diff(deflated) > 0.0)
 
 
 def test_find_three_on_reference_fixture(prep61):
