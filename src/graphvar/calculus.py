@@ -138,7 +138,7 @@ def _check_exponent(p: float) -> float:
     return p
 
 
-def power_coeff(base: np.ndarray, p: float, *, warn: bool = True) -> np.ndarray:
+def power_coeff(base: np.ndarray, p: float) -> np.ndarray:
     """base**(p-2) with the regularization rule for p < 2 at zero entries."""
     if p == 2.0:
         return np.ones_like(base)
@@ -147,10 +147,8 @@ def power_coeff(base: np.ndarray, p: float, *, warn: bool = True) -> np.ndarray:
     zero = base <= 0.0
     if not np.any(zero):
         return base ** (p - 2.0)
-    if warn:
-        warnings.warn(
-            f"vanishing gradient regularized with eps={EPS_REG} for p={p}",
-            RegularizationWarning, stacklevel=3)
+    warnings.warn(f"vanishing gradient regularized with eps={EPS_REG} for p={p}",
+                  RegularizationWarning, stacklevel=3)
     out = np.empty_like(base)
     out[~zero] = base[~zero] ** (p - 2.0)
     out[zero] = (base[zero] + EPS_REG) ** (p - 2.0)

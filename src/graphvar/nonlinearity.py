@@ -482,24 +482,33 @@ def derivative_consistency(model: NonlinearityModel, samples: int = 1000,
     return report
 
 
-def growth_bound_gap(model: NonlinearityModel, points: int = 10000,
-                     span_factor: float = 4.0, seed: int = 411) -> float:
+# The declared bounds are checked on BOUND_SAMPLES random (s, t) points with
+# |s| <= BOUND_SPAN * max(s_scale, 1), likewise t, from a fixed seed per bound.
+BOUND_SAMPLES, BOUND_SPAN = 10000, 4.0
+GROWTH_SEED, ENVELOPE_SEED = 411, 412
+
+
+def _bound_samples(model: NonlinearityModel, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    s_span = BOUND_SPAN * max(model.s_scale, 1.0)
+    s = rng.uniform(-s_span, s_span, BOUND_SAMPLES)
+    t_span = BOUND_SPAN * max(model.t_scale, 1.0) if model.t_scale else 0.0
+    t = rng.uniform(-t_span, t_span, BOUND_SAMPLES) if t_span else np.zeros(BOUND_SAMPLES)
+    return s, t
+
+
+def growth_bound_gap(model: NonlinearityModel) -> float:
     """Largest violation of F <= f1 |s|^alpha + f2 |t|^beta + g on a random
     grid (nonpositive return means the bound held everywhere sampled)."""
     if model.growth is None:
         raise BadParam("model declares no growth data")
     gr = model.growth
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(-span_factor * max(model.s_scale, 1.0),
-                    span_factor * max(model.s_scale, 1.0), points)
-    tspan = span_factor * max(model.t_scale, 1.0) if model.t_scale else 0.0
-    t = rng.uniform(-tspan, tspan, points) if tspan else np.zeros(points)
+    s, t = _bound_samples(model, GROWTH_SEED)
     bound = gr.f1 * np.abs(s) ** gr.alpha + gr.f2 * np.abs(t) ** gr.beta + gr.g
     return float(np.max(model.F(s, t) - bound))
 
 
-def envelope_bound_gap(model: NonlinearityModel, points: int = 10000,
-                       span_factor: float = 4.0, seed: int = 412) -> float:
+def envelope_bound_gap(model: NonlinearityModel) -> float:
     """Largest violation of |F| <= a(|(s, t)|) at the support vertex.
 
     This is the part of the envelope hypothesis that the admissible-interval
@@ -507,10 +516,6 @@ def envelope_bound_gap(model: NonlinearityModel, points: int = 10000,
     """
     if model.envelope is None:
         raise BadParam("model declares no envelope")
-    rng = np.random.default_rng(seed)
-    s = rng.uniform(-span_factor * max(model.s_scale, 1.0),
-                    span_factor * max(model.s_scale, 1.0), points)
-    tspan = span_factor * max(model.t_scale, 1.0) if model.t_scale else 0.0
-    t = rng.uniform(-tspan, tspan, points) if tspan else np.zeros(points)
+    s, t = _bound_samples(model, ENVELOPE_SEED)
     rho = np.hypot(s, t)
     return float(np.max(np.abs(model.F(s, t)) - model.envelope.a(rho)))
