@@ -222,10 +222,13 @@ def box_max_F(model: NonlinearityModel, s_max: float, t_max: float,
         return float(np.max(model.F(pts_s[:, None], pts_t[None, :])))
     if strategy != "grid":
         raise BadParam(f"unknown box_max strategy {strategy!r}")
+    return _box_grid_max(model, s_max, t_max, GRID_POINTS)
+
+
+def _box_grid_max(model: NonlinearityModel, s_max: float, t_max: float, n: int) -> float:
     if t_max == 0.0:
-        return _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)),
-                            -s_max, s_max, GRID_POINTS)
-    return _grid_max_2d(model.F, s_max, t_max, GRID_POINTS)
+        return _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)), -s_max, s_max, n)
+    return _grid_max_2d(model.F, s_max, t_max, n)
 
 
 def envelope_max(model: NonlinearityModel, rho_max: float,
@@ -242,21 +245,17 @@ def envelope_max(model: NonlinearityModel, rho_max: float,
     return _grid_max_1d(model.envelope.a, 0.0, rho_max, GRID_POINTS)
 
 
-def _refinement_gap_box(model, s_max, t_max) -> float:
-    if t_max == 0.0:
-        v1 = _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)), -s_max, s_max, GRID_POINTS)
-        v2 = _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)), -s_max, s_max,
-                          2 * GRID_POINTS - 1)
-    else:
-        v1 = _grid_max_2d(model.F, s_max, t_max, GRID_POINTS)
-        v2 = _grid_max_2d(model.F, s_max, t_max, 2 * GRID_POINTS - 1)
-    return abs(v2 - v1) / max(1.0, abs(v2))
+# The refinement gaps compare a GRID_POINTS grid maximum, already computed by
+# box_max_F / envelope_max, with the same maximum on the refined grid.
+
+def _refinement_gap_box(model, coarse: float, s_max: float, t_max: float) -> float:
+    fine = _box_grid_max(model, s_max, t_max, 2 * GRID_POINTS - 1)
+    return abs(fine - coarse) / max(1.0, abs(fine))
 
 
-def _refinement_gap_envelope(model, rho_max) -> float:
-    v1 = _grid_max_1d(model.envelope.a, 0.0, rho_max, GRID_POINTS)
-    v2 = _grid_max_1d(model.envelope.a, 0.0, rho_max, 2 * GRID_POINTS - 1)
-    return abs(v2 - v1) / max(1.0, abs(v2))
+def _refinement_gap_envelope(model, coarse: float, rho_max: float) -> float:
+    fine = _grid_max_1d(model.envelope.a, 0.0, rho_max, 2 * GRID_POINTS - 1)
+    return abs(fine - coarse) / max(1.0, abs(fine))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +376,7 @@ def interval_finite(prob: Problem, *values: float,
                 for l, hm in zip(ls, h_mins))
 
     max_f = box_max_F(model, *_pad(box), strategy=strategy)
-    gap = _refinement_gap_box(model, *_pad(box)) if strategy == "grid" else 0.0
+    gap = _refinement_gap_box(model, max_f, *_pad(box)) if strategy == "grid" else 0.0
     inf_f = float(model.F(*(np.asarray(d) for d in _pad(deltas))))
     if model.support is not None and g.n_vertices > 1:
         max_f = max(max_f, 0.0)
@@ -434,7 +433,7 @@ def interval_locally_finite(prob: Problem, x0: str, *values: float,
     r = sum(gm ** l for gm, l in zip(gammas, ls))
     rho = sum((l * r) ** (1.0 / l) / (h0 * mu0) ** (1.0 / l) for l in ls)
     max_a = envelope_max(model, rho, strategy=strategy)
-    gap = _refinement_gap_envelope(model, rho) if strategy == "grid" else 0.0
+    gap = _refinement_gap_envelope(model, max_a, rho) if strategy == "grid" else 0.0
     int_b = float(g.mu[i0])  # b is the indicator of x0
 
     masses = [_mass_one(g, i0, float(c.l), c.h.values) for c in prob.components]
