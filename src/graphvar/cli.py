@@ -183,12 +183,18 @@ def cmd_interval(args) -> int:
     return EXIT_OK if report.valid else EXIT_HYPOTHESES
 
 
-def cmd_solve(args) -> int:
-    prep, inputs = _load_problem(args)
+def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float]]:
+    """The solver configuration from the command line, and the start radius:
+    1 + the largest reference delta, or the solver's default without one."""
     cfg = SolverConfig(starts=args.starts, max_iters=args.max_iters,
                        grad_tol=args.grad_tol, distinct_tol=args.distinct_tol,
                        seed=args.seed)
-    radius = 1.0 + max(prep.deltas) if prep.deltas else None
+    return cfg, (1.0 + max(prep.deltas) if prep.deltas else None)
+
+
+def cmd_solve(args) -> int:
+    prep, inputs = _load_problem(args)
+    cfg, radius = _solver_setup(args, prep)
     sset = find_three(prep.problem, args.lam, cfg, start_radius=radius)
     text = solution_set_to_json(sset)
     _write_text(args.out, text)
@@ -214,10 +220,7 @@ def cmd_sweep(args) -> int:
     if not (0.0 < args.lambda_min < args.lambda_max):
         raise BadParam(
             f"need 0 < lambda-min < lambda-max, got ({args.lambda_min}, {args.lambda_max})")
-    cfg = SolverConfig(starts=args.starts, max_iters=args.max_iters,
-                       grad_tol=args.grad_tol, distinct_tol=args.distinct_tol,
-                       seed=args.seed)
-    radius = 1.0 + max(prep.deltas) if prep.deltas else None
+    cfg, radius = _solver_setup(args, prep)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     rows = []
     for lam in lams:
