@@ -239,10 +239,10 @@ def envelope_max(model: NonlinearityModel, rho_max: float,
     if rho_max <= 0.0:
         raise BadParam(f"radius must be positive, got {rho_max}")
     if strategy == "corner":
-        return float(np.max(model.envelope.a(np.array([0.0, rho_max]))))
+        return float(np.max(model.envelope(np.array([0.0, rho_max]))))
     if strategy != "grid":
         raise BadParam(f"unknown box_max strategy {strategy!r}")
-    return _grid_max_1d(model.envelope.a, 0.0, rho_max, GRID_POINTS)
+    return _grid_max_1d(model.envelope, 0.0, rho_max, GRID_POINTS)
 
 
 # The refinement gaps compare a GRID_POINTS grid maximum, already computed by
@@ -254,7 +254,7 @@ def _refinement_gap_box(model, coarse: float, s_max: float, t_max: float) -> flo
 
 
 def _refinement_gap_envelope(model, coarse: float, rho_max: float) -> float:
-    fine = _grid_max_1d(model.envelope.a, 0.0, rho_max, 2 * GRID_POINTS - 1)
+    fine = _grid_max_1d(model.envelope, 0.0, rho_max, 2 * GRID_POINTS - 1)
     return abs(fine - coarse) / max(1.0, abs(fine))
 
 
@@ -299,6 +299,13 @@ def _finish(theorem, kappa, box, lo, hi, checks, refinement_gap, notes=()):
                           lambda_lo=lo, lambda_hi=hi, hypotheses=tuple(checks),
                           valid=valid, refinement_gap=refinement_gap,
                           notes=tuple(notes))
+
+
+def _vertex_value(model: NonlinearityModel, g: WeightedGraph, i: int,
+                  s: float, t: float) -> float:
+    """F(x_i, s, t): entry i of F on the constant state (s, t)."""
+    n = g.n_vertices
+    return float(model.F_on(g, np.full(n, s), np.full(n, t))[i])
 
 
 def _endpoints_to_lambdas(big_lo: float, big_hi: float) -> tuple[float, float]:
@@ -438,14 +445,14 @@ def interval_locally_finite(prob: Problem, x0: str, *values: float,
 
     masses = [_mass_one(g, i0, float(c.l), c.h.values) for c in prob.components]
     kappas = tuple((mass / l) ** (-1.0 / l) for mass, l in zip(masses, ls))
-    f_spike = float(model.eval_F(x0, *_pad(deltas)))
+    f_spike = _vertex_value(model, g, i0, *_pad(deltas))
     phi_spike = sum(d ** l * mass / l for d, l, mass in zip(deltas, ls, masses))
     big_t1 = max_a * int_b / r
     big_t2 = f_spike / phi_spike
     lo, hi = _endpoints_to_lambdas(big_t1, big_t2)
 
     env_gap = envelope_bound_gap(model)
-    zero_spike = float(model.eval_F(x0, 0.0, 0.0))
+    zero_spike = _vertex_value(model, g, i0, 0.0, 0.0)
     h_min = min(float(np.min(c.h.values)) for c in prob.components)
     pair = " pair" if k == 2 else ""
     checks = [

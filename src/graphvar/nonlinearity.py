@@ -9,9 +9,12 @@ On the nonnegative axis this integral coincides with the published closed
 antiderivative table; construction cross-checks the two with high-order
 quadrature and refuses models where they disagree.
 
-Evaluators are numpy-vectorized in (s, t).  A model either looks the same
-from every vertex (``support is None``) or vanishes off a single support
-vertex; that is enough for the bundled families and tabulated custom models.
+A model either looks the same from every vertex (``support is None``, the
+finite case of example 6.1) or vanishes off the single vertex ``support``
+(the locally finite case of example 6.2, whose radial envelope a bounds |F|
+there with b the indicator of that vertex).  ``F_on`` / ``Fs_on`` /
+``Ft_on`` evaluate a model at every vertex of a graph; that is the only
+vertex-aware path.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ class GrowthData:
 
 
 @dataclass(frozen=True)
-class EnvelopeData:
-    """Radial envelope a(|(s, t)|) with b the indicator of the support vertex."""
-
-    a: Callable[[np.ndarray], np.ndarray]
-    support: str
-
-
-@dataclass(frozen=True)
 class DerivativeCheck:
     samples_used: int
     max_discrepancy: float
@@ -58,38 +53,34 @@ class DerivativeCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearityModel:
+    """F(x, s, t), its partials and the data the interval computations read.
+
+    The evaluators F, Fs and Ft take s and t of one shape (0-d included) and
+    return values of that shape; the grid box maximum also passes F an
+    (n, 1) s-column with a (1, n) t-row and needs a result that broadcasts
+    to (n, n).  Off ``support`` (when set) the model is zero.  ``envelope``
+    is the radial function a with |F(support, s, t)| <= a(|(s, t)|).
+    Models compare and hash by identity.
+    """
+
     name: str
     F: Evaluator
     Fs: Evaluator
     Ft: Evaluator
     support: Optional[str] = None
     growth: Optional[GrowthData] = None
-    envelope: Optional[EnvelopeData] = None
+    envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     seams_s: tuple[float, ...] = ()
     seams_t: tuple[float, ...] = ()
-    monotone_box: bool = False
     s_scale: float = 1.0
     t_scale: float = 0.0
     cross_check_gap: float = 0.0
     requires_derivative_check: bool = False  # tabulated models, before solving
     params: dict = field(default_factory=dict)
 
-    # -- vertex-aware evaluation (the module contract) ----------------------
-
-    def _at(self, x: str, fn: Evaluator, s, t):
-        if self.support is not None and x != self.support:
-            return np.zeros_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float))
-        return fn(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-
-    def eval_F(self, x: str, s, t):
-        return self._at(x, self.F, s, t)
-
-    def eval_Fs(self, x: str, s, t):
-        return self._at(x, self.Fs, s, t)
-
-    # -- vectorized per-graph paths -----------------------------------------
+    # -- evaluation at every vertex of a graph --------------------------------
 
     def _on(self, g: WeightedGraph, fn: Evaluator, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.support is None:
@@ -234,25 +225,14 @@ def builtin_example_6_1(omega1: float, omega2: float,
         g=(0.5 * w1 ** 2 + 0.25 * (4 * w1) ** 4 + 0.75 * w1 ** 4
            + 0.5 * w2 ** 2 + (5 * w2) ** 5 / 5.0 + 0.8 * w2 ** 5))
 
-    def eval_fs(s, t):
-        if np.ndim(s) == 0 and np.ndim(t) == 0:
-            return even_s(s)
-        return even_s(s) * np.ones_like(np.asarray(t, dtype=float))
-
-    def eval_ft(s, t):
-        if np.ndim(s) == 0 and np.ndim(t) == 0:
-            return even_t(t)
-        return even_t(t) * np.ones_like(np.asarray(s, dtype=float))
-
     return NonlinearityModel(
         name="example_6_1",
         F=lambda s, t: part_s(s) + part_t(t),
-        Fs=eval_fs,
-        Ft=eval_ft,
+        Fs=lambda s, t: even_s(s),
+        Ft=lambda s, t: even_t(t),
         growth=growth,
         seams_s=(0.0, w1, 4 * w1),
         seams_t=(0.0, w2, 5 * w2),
-        monotone_box=True,
         s_scale=4 * w1,
         t_scale=5 * w2,
         cross_check_gap=gap,
@@ -268,8 +248,8 @@ def builtin_example_6_2(omega: float, r: float = 5.0, support: str = "x0") -> No
 
     f(x0, s) is (w - |s|) up to |s| = w, then |s|^5 - w^5 on (w, 6 w], then
     the tempered tail (6 w)^r |s|^(5-r) - w^5.  Requires w > 0 and
-    r in (3, 5].  Ships the radial envelope (a, b) with b the indicator of
-    the support vertex.
+    r in (3, 5].  Ships the radial envelope a(rho) = |f(x0, rho)| + 1
+    (b is the indicator of the support vertex).
     """
     w = float(omega)
     r = float(r)
@@ -296,38 +276,21 @@ def builtin_example_6_2(omega: float, r: float = 5.0, support: str = "x0") -> No
 
     part = _odd(fabs)
     even_fp = _even(fp)
-    envelope = EnvelopeData(a=_even(lambda k: fabs(k) + 1.0), support=str(support))
     growth = GrowthData(
         alpha=6.0 - r, beta=0.0,
         f1=(6 * w) ** r / (6 - r), f2=0.0,
         g=0.5 * w ** 2 + (6 ** 6 + 5) / 6.0 * w ** 6)
 
-    def eval_f(s, t):
-        if np.ndim(s) == 0 and np.ndim(t) == 0:
-            return part(s)
-        return part(s) + 0.0 * np.asarray(t, dtype=float)
-
-    def eval_fs(s, t):
-        if np.ndim(s) == 0 and np.ndim(t) == 0:
-            return even_fp(s)
-        return even_fp(s) + 0.0 * np.asarray(t, dtype=float)
-
-    def eval_ft(s, t):
-        if np.ndim(s) == 0 and np.ndim(t) == 0:
-            return 0.0
-        return np.zeros_like(np.asarray(s, dtype=float) + np.asarray(t, dtype=float))
-
     return NonlinearityModel(
         name="example_6_2",
-        F=eval_f,
-        Fs=eval_fs,
-        Ft=eval_ft,
+        F=lambda s, t: part(s),
+        Fs=lambda s, t: even_fp(s),
+        Ft=lambda s, t: np.zeros_like(s, dtype=float),
         support=str(support),
         growth=growth,
-        envelope=envelope,
+        envelope=_even(lambda k: fabs(k) + 1.0),
         seams_s=(0.0, w, 6 * w),
         seams_t=(),
-        monotone_box=True,
         s_scale=6 * w,
         t_scale=0.0,
         cross_check_gap=gap,
@@ -518,4 +481,4 @@ def envelope_bound_gap(model: NonlinearityModel) -> float:
         raise BadParam("model declares no envelope")
     s, t = _bound_samples(model, ENVELOPE_SEED)
     rho = np.hypot(s, t)
-    return float(np.max(np.abs(model.F(s, t)) - model.envelope.a(rho)))
+    return float(np.max(np.abs(model.F(s, t)) - model.envelope(rho)))

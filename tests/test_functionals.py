@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,12 @@ def test_psi_constants_vertex_independent(prep61):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_bundled_problems_are_hashable(prep61, prep62):
+    for prob in (prep61.problem, prep62.problem):
+        hash(prob)
+        assert len({prob, dataclasses.replace(prob)}) == 1
+
+
 def test_psi_spike_equals_local_value(prep62):
     # the scalar problem on the truncated lattice: a spike at the center
     # contributes exactly F(x0, delta)
@@ -89,7 +97,7 @@ def test_psi_spike_equals_local_value(prep62):
     delta = prep62.deltas[0]
     z = delta * gv.VertexFunction.indicator(prob.graph, prep62.x0).values
     psi = (prob.action_vec(0.0, z) - prob.action_vec(1.0, z))
-    want = float(prob.nonlinearity.eval_F(prep62.x0, delta, 0.0))
+    want = float(prob.nonlinearity.F(np.asarray(delta), np.asarray(0.0)))
     assert psi == pytest.approx(want, rel=1e-12)
 
 

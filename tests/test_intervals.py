@@ -10,7 +10,7 @@ from graphvar.cli import main
 from graphvar.errors import BadParam, MissingEnvelope
 from graphvar.functionals import ScalarProblem
 from graphvar.intervals import envelope_max, kappa_scalar_finite
-from graphvar.nonlinearity import EnvelopeData, NonlinearityModel
+from graphvar.nonlinearity import NonlinearityModel
 from graphvar.problems import builtin_problem
 from graphvar.sobolev import SobolevSpec, w_norm_power
 
@@ -218,8 +218,7 @@ def test_interval_locally_finite_zero_envelope_fails_f3():
     z = lambda s, t: np.zeros_like(np.asarray(s, dtype=float) + 0.0 * t)
     dead = NonlinearityModel(
         name="dead", F=z, Fs=z, Ft=z, support=x0,
-        envelope=EnvelopeData(a=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
-                              support=x0),
+        envelope=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
         s_scale=1.0, t_scale=1.0)
     prob2 = gv.ProblemSpec(graph=prob.graph, m1=1, m2=1, p=3.0, q=3.0,
                            h1=prob.components[0].h, h2=prob.components[1].h,
