@@ -1,6 +1,7 @@
-"""Shared fixtures: small graphs, random-graph generators, brute-force
-reference implementations of the operators (dict-and-loop style, independent
-of the vectorized library code), and a smooth synthetic nonlinearity."""
+"""Shared fixtures: small graphs, random-graph generators and a hypothesis
+strategy for them, brute-force reference implementations of the operators
+(dict-and-loop style, independent of the vectorized library code), and a
+smooth synthetic nonlinearity."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphvar import (
     NonlinearityModel,
@@ -50,6 +52,27 @@ def random_graph(rng: np.random.Generator, n_min: int = 2, n_max: int = 8,
             if (i, j) not in present and rng.uniform() < extra_edge_prob:
                 edges.append((ids[i], ids[j], float(rng.uniform(0.5, 2.5))))
                 present.add((i, j))
+    return WeightedGraph(ids, mu, edges)
+
+
+# hypothesis strategies: operator orders, exponents, weights and measures,
+# and connected weighted graphs
+ORDERS = st.sampled_from([1, 2, 3])
+EXPONENTS = st.sampled_from([2.0, 2.5, 3.0])
+POSITIVE = st.floats(0.5, 2.5)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def weighted_graphs(draw, n_max: int = 9):
+    """Connected graph: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, n_max))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=n))
+    edges = [(ids[a], ids[b], draw(POSITIVE)) for a, b in sorted(pairs)]
+    mu = {v: draw(POSITIVE) for v in ids}
     return WeightedGraph(ids, mu, edges)
 
 

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import graphvar as gv
 from graphvar.calculus import _scatter, poly_lap_apply_arr, poly_lap_weak_many
 from graphvar.errors import BadParam, DomainMismatch, RegularizationWarning
 
 from conftest import (
+    SEEDS,
     oracle_gamma,
     oracle_laplacian,
     oracle_p_laplacian,
     random_graph,
     random_vf,
     rel_close,
+    weighted_graphs,
 )
 
 
@@ -107,16 +110,21 @@ def test_operators_match_bruteforce_oracles():
             assert rel_close(got[x], ref[x], 1e-11)
 
 
-def test_green_identity_and_self_adjointness():
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        g = random_graph(rng)
-        u, v = random_vf(rng, g), random_vf(rng, g)
-        lhs = gv.integrate(g, gv.VertexFunction(g, gv.laplacian(g, u).values * v.values))
-        rhs = -gv.integrate(g, gv.gamma(g, u, v))
-        assert rel_close(lhs, rhs, 1e-10)
-        sym = gv.integrate(g, gv.VertexFunction(g, u.values * gv.laplacian(g, v).values))
-        assert rel_close(lhs, sym, 1e-10)
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs(), SEEDS)
+def test_green_identity_and_self_adjointness(g, seed):
+    rng = np.random.default_rng(seed)
+    u, v = random_vf(rng, g), random_vf(rng, g)
+    lhs = gv.integrate(g, gv.VertexFunction(g, gv.laplacian(g, u).values * v.values))
+    rhs = -gv.integrate(g, gv.gamma(g, u, v))
+    assert rel_close(lhs, rhs, 1e-10)
+    sym = gv.integrate(g, gv.VertexFunction(g, u.values * gv.laplacian(g, v).values))
+    assert rel_close(lhs, sym, 1e-10)
+    # L_{m,2} is self-adjoint in the mu inner product
+    for m in (1, 2, 3):
+        lu_v = float(np.dot(g.mu, poly_lap_apply_arr(g, u.values, m, 2.0) * v.values))
+        u_lv = float(np.dot(g.mu, u.values * poly_lap_apply_arr(g, v.values, m, 2.0)))
+        assert rel_close(lu_v, u_lv, 1e-10)
 
 
 def test_m_grad_norm(p2, step):
@@ -249,11 +257,12 @@ def test_poly_lap_linearity_at_p2():
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_adjoint_apply_matches_indicator_extraction():
-    rng = np.random.default_rng(20)
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs(), SEEDS)
+def test_adjoint_apply_matches_indicator_extraction(g, seed):
+    rng = np.random.default_rng(seed)
     for m in (1, 2, 3):
         for p in (2.0, 2.5, 3.0):
-            g = random_graph(rng)
             u = random_vf(rng, g)
             fast = poly_lap_apply_arr(g, u.values, m, p)
             ref = gv.poly_lap_pointwise(g, u, m, p).values

@@ -2,13 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import graphvar as gv
 from graphvar.errors import BadParam
 from graphvar.functionals import monotonicity_modulus
 from graphvar.problems import builtin_problem
 
-from conftest import linear_model, random_graph, random_vf, rel_close, smooth_model
+from conftest import (
+    EXPONENTS,
+    ORDERS,
+    SEEDS,
+    linear_model,
+    random_graph,
+    random_vf,
+    rel_close,
+    smooth_model,
+    weighted_graphs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +42,8 @@ def const_pair(g, d1, d2):
                         gv.VertexFunction.constant(g, d2))
 
 
-def random_problem(rng, m1=1, m2=1, p=2.0, q=2.0, model=None):
-    g = random_graph(rng)
+def random_problem(rng, m1=1, m2=1, p=2.0, q=2.0, model=None, g=None):
+    g = random_graph(rng) if g is None else g
     h1 = gv.VertexFunction(g, rng.uniform(0.5, 3.0, g.n_vertices))
     h2 = gv.VertexFunction(g, rng.uniform(0.5, 3.0, g.n_vertices))
     return gv.ProblemSpec(graph=g, m1=m1, m2=m2, p=p, q=q, h1=h1, h2=h2,
@@ -131,22 +142,22 @@ def test_action_gradient_hand_value(p2):
     assert grad.u.value("b") == pytest.approx(3.0, rel=1e-14)
 
 
-def test_action_gradient_matches_finite_differences():
-    rng = np.random.default_rng(44)
-    cases = [(1, 1, 2.0, 2.0), (2, 1, 2.5, 3.0), (3, 2, 3.0, 2.5), (2, 2, 2.0, 3.0)]
-    for m1, m2, p, q in cases:
-        for _ in range(5):
-            prob = random_problem(rng, m1=m1, m2=m2, p=p, q=q)
-            n = prob.graph.n_vertices
-            z = rng.uniform(-1.5, 1.5, 2 * n)
-            direction = rng.uniform(-1.0, 1.0, 2 * n)
-            lam = float(rng.uniform(0.1, 2.0))
-            eps = 1e-6 * (1.0 + float(np.linalg.norm(z)))
-            fd = (prob.action_vec(lam, z + eps * direction)
-                  - prob.action_vec(lam, z - eps * direction)) / (2 * eps)
-            mu2 = np.concatenate([prob.graph.mu, prob.graph.mu])
-            pairing = float(np.dot(mu2 * prob.residual_vec(lam, z), direction))
-            assert abs(fd - pairing) <= max(1e-6, 1e-4 * abs(pairing))
+@settings(max_examples=40, deadline=None)
+@given(weighted_graphs(), ORDERS, ORDERS, EXPONENTS, EXPONENTS, SEEDS)
+def test_action_gradient_matches_finite_differences(g, m1, m2, p, q, seed):
+    # the directional derivative of the action is the mu-weighted residual pairing
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, m1=m1, m2=m2, p=p, q=q, g=g)
+    n = prob.graph.n_vertices
+    z = rng.uniform(-1.5, 1.5, 2 * n)
+    direction = rng.uniform(-1.0, 1.0, 2 * n)
+    lam = float(rng.uniform(0.1, 2.0))
+    eps = 1e-6 * (1.0 + float(np.linalg.norm(z)))
+    fd = (prob.action_vec(lam, z + eps * direction)
+          - prob.action_vec(lam, z - eps * direction)) / (2 * eps)
+    mu2 = np.concatenate([prob.graph.mu, prob.graph.mu])
+    pairing = float(np.dot(mu2 * prob.residual_vec(lam, z), direction))
+    assert abs(fd - pairing) <= max(1e-6, 1e-4 * abs(pairing))
 
 
 def test_monotonicity_gap_zero_for_equal_states(prep61):

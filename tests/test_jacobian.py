@@ -13,25 +13,7 @@ from graphvar import solver
 from graphvar.problems import builtin_problem
 from graphvar.solver import solution_set_to_json
 
-from conftest import smooth_model
-
-ORDERS = st.sampled_from([1, 2, 3])
-EXPONENTS = st.sampled_from([2.0, 2.5, 3.0])
-POSITIVE = st.floats(0.5, 2.5)
-
-
-@st.composite
-def weighted_graphs(draw, n_max: int = 9):
-    """Connected graph: a random spanning tree plus random extra edges."""
-    n = draw(st.integers(2, n_max))
-    ids = [f"v{i}" for i in range(n)]
-    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                          .filter(lambda e: e[0] < e[1]), max_size=n))
-    edges = [(ids[a], ids[b], draw(POSITIVE)) for a, b in sorted(pairs)]
-    mu = {v: draw(POSITIVE) for v in ids}
-    return gv.WeightedGraph(ids, mu, edges)
-
+from conftest import EXPONENTS, ORDERS, POSITIVE, smooth_model, weighted_graphs
 
 def tabulated():
     grid = np.linspace(-3.0, 3.0, 7)
