@@ -1,12 +1,22 @@
 """Source-level guards: the library's behaviour is set by its arguments
-alone, with no environment variables and no threads."""
+alone, with no environment variables and no threads; and every name the
+benchmark's layer trace wraps still exists."""
 
+import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import graphvar
+from graphvar import calculus, cli, functionals, intervals, solver
+from graphvar.functionals import Problem
+from graphvar.nonlinearity import NonlinearityModel
 
 FORBIDDEN = re.compile(r"os\.environ|getenv|concurrent\.futures|threading")
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+# what `cls` is in a loop over the workload's types
+CLS_LOOPS = {"nonlinearity_types": NonlinearityModel, "problem_types": Problem}
 
 
 def test_library_reads_no_environment_and_starts_no_threads():
@@ -16,3 +26,32 @@ def test_library_reads_no_environment_and_starts_no_threads():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if FORBIDDEN.search(line)]
     assert hits == []
+
+
+def _wrap_calls(node, owners, found):
+    """(owner expression, owner object, names) of every wrap_any call under
+    `node`; the owner object is None when `owners` does not map it."""
+    if isinstance(node, ast.For) and ast.unparse(node.target) == "cls":
+        loop = ast.unparse(node.iter)
+        owners = {**owners, "cls": next((c for k, c in CLS_LOOPS.items() if k in loop), None)}
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "wrap_any"):
+        owner = ast.unparse(node.args[0])
+        found.append((owner, owners.get(owner), ast.literal_eval(node.args[1])))
+    for child in ast.iter_child_nodes(node):
+        _wrap_calls(child, owners, found)
+    return found
+
+
+def test_benchmark_wraps_find_their_names():
+    # a wrap whose names are all gone reports its layer's metrics as absent
+    owners = {"gv": graphvar, "cli": cli, "functionals": functionals,
+              "calculus": calculus, "solver": solver, "intervals": intervals,
+              "gv.WeightedGraph": graphvar.WeightedGraph, "np.linalg": np.linalg}
+    calls = _wrap_calls(ast.parse(LAYERS.read_text()), owners, [])
+    assert {NonlinearityModel, Problem, solver} <= {obj for _, obj, _ in calls}
+    unmapped = [owner for owner, obj, _ in calls if obj is None]
+    assert unmapped == []
+    missing = [(owner, names) for owner, obj, names in calls
+               if not any(hasattr(obj, name) for name in names)]
+    assert missing == []
