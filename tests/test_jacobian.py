@@ -15,6 +15,7 @@ from graphvar.solver import solution_set_to_json
 
 from conftest import EXPONENTS, ORDERS, POSITIVE, smooth_model, weighted_graphs
 
+
 def tabulated():
     grid = np.linspace(-3.0, 3.0, 7)
     s, t = np.meshgrid(grid, grid, indexing="ij")
