@@ -6,6 +6,7 @@ lines.  Tolerances are pinned here, not configurable.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +296,14 @@ def test_criterion_9_determinism():
         assert second_json == first_json, f"{key} lam={lam} not byte-identical"
     elapsed = time.perf_counter() - t0
     _ok(9, "criterion-4 runs repeat byte-identically", elapsed)
+
+
+# Seed-42 solution-set text of the four criterion-4 solves; a solve that
+# moves in any digit fails here.
+PINS = Path(__file__).parent / "pins"
+
+
+@pytest.mark.parametrize("key, lam", SOLVE_CONFIGS)
+def test_acceptance_solves_match_pins(key, lam):
+    _, text, _ = _cached_solve(key, lam)
+    assert text == (PINS / f"accept-{key}-{lam}.json").read_text()
