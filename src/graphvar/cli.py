@@ -27,7 +27,7 @@ from .errors import GraphVarError, BadParam, IoError, ParseError
 from .graph import build_graph, function_from_doc, function_to_doc, integrate
 from .intervals import interval_finite, interval_locally_finite
 from .problems import PreparedProblem, builtin_problem, problem_from_doc
-from .solver import SolverConfig, find_three, solution_set_to_json
+from .solver import OUTCOMES, SolutionSet, SolverConfig, find_three, solution_set_to_json
 
 TOOL_VERSION = "0.1.0"
 
@@ -67,7 +67,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_manifest(report_path: str, command: str, input_paths: list[str],
-                    config: dict, seed: Optional[int]) -> None:
+                    config: dict, seed: Optional[int],
+                    stats: Optional[dict | list] = None) -> None:
     manifest = {
         "command": command,
         "tool_version": TOOL_VERSION,
@@ -77,6 +78,8 @@ def _write_manifest(report_path: str, command: str, input_paths: list[str],
         "outputs": [report_path],
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     _write_text(report_path + ".manifest.json",
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -192,6 +195,19 @@ def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float]]:
     return cfg, (1.0 + max(prep.deltas) if prep.deltas else None)
 
 
+def _outcome_stats(sset: SolutionSet) -> dict:
+    """How the starts and the deflation attempts of a solve ended, counted
+    per outcome; a diverged start also adds a note on the labels."""
+    stats = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
+    for phase, _, outcome, _ in sset.outcomes:
+        stats[phase][outcome] += 1
+    diverged = stats["start"]["diverged"]
+    if diverged:
+        stats["note"] = (f"{diverged} start(s) diverged, so the action is unbounded "
+                         "below: \"minimizer\" labels are local")
+    return stats
+
+
 def cmd_solve(args) -> int:
     prep, inputs = _load_problem(args)
     cfg, radius = _solver_setup(args, prep)
@@ -201,7 +217,8 @@ def cmd_solve(args) -> int:
     config = {"lambda": args.lam, "starts": cfg.starts, "max_iters": cfg.max_iters,
               "grad_tol": cfg.grad_tol, "distinct_tol": cfg.distinct_tol,
               "expect_three": bool(args.expect_three)}
-    _write_manifest(args.out, "solve", inputs, config, seed=cfg.seed)
+    _write_manifest(args.out, "solve", inputs, config, seed=cfg.seed,
+                    stats=_outcome_stats(sset))
 
     print(f"lambda = {sset.lam:g}: {len(sset.points)} distinct critical point(s)")
     print(f"{'#':>2}  {'action':>18}  {'residual':>12}  {'kind':<12} nontrivial")
@@ -222,9 +239,10 @@ def cmd_sweep(args) -> int:
             f"need 0 < lambda-min < lambda-max, got ({args.lambda_min}, {args.lambda_max})")
     cfg, radius = _solver_setup(args, prep)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    rows = []
+    rows, stats = [], []
     for lam in lams:
         sset = find_three(prep.problem, float(lam), cfg, start_radius=radius)
+        stats.append({"lambda": float(lam), **_outcome_stats(sset)})
         actions = [p.action_value for p in sset.points]
         residuals = [p.residual_sup for p in sset.points]
         rows.append({
@@ -244,7 +262,7 @@ def cmd_sweep(args) -> int:
         raise IoError(f"cannot write {args.out}: {exc}") from exc
     config = {"lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
               "steps": args.steps, "starts": cfg.starts}
-    _write_manifest(args.out, "sweep", inputs, config, seed=cfg.seed)
+    _write_manifest(args.out, "sweep", inputs, config, seed=cfg.seed, stats=stats)
     return EXIT_OK
 
 

@@ -18,6 +18,26 @@ Distinctness of solutions is always measured in the product Sobolev norm;
 the deflation factor itself uses the plain euclidean distance, which keeps
 its gradient trivial.
 
+Multistart descents stop early, with ``converged=False``, once they can
+only end as a divergence or as a duplicate (single-start `minimize`, the
+Newton polish and deflation have no such exits):
+
+- "diverged" once |z|inf > DIVERGE_SCALE * (1 + start_scale).  Over the four
+  acceptance solves at seeds 0-9 and 42 (2,860 starts), no start that
+  converged went past 13.3 times that scale (|z|inf = 219 on example 6.1), so
+  the bound of 100 leaves a margin of 7.5.
+- "captured" within CAPTURE_REL * ||z_k||_W of a nontrivial accepted point
+  z_k while the action is still above J(z_k); Armijo descent only lowers
+  the action, so an iterate below J(z_k) cannot be descending to z_k.  In
+  the same starts the closest approach of a start that went on to a new
+  point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2), and the closest
+  two distinct critical points of those solves lie 2.9% of either one's
+  norm apart (a margin of 2.9).
+
+A cut start would have ended unaccepted, so the points found are the same.
+`find_three` records how every start and deflation attempt ended (one of
+OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
+
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k), and starts run one after another in index
 order.
@@ -30,7 +50,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +67,11 @@ DIVERGE_NORM = 1e8
 FD_SCALE = 1e-6
 DEFLATION_POWER = 2.0
 DEFLATION_SHIFT = 1.0
+DIVERGE_SCALE = 100.0
+CAPTURE_REL = 1e-2
+
+# How a multistart descent or a deflation attempt ended.
+OUTCOMES = ("new", "duplicate", "captured", "diverged", "stalled", "budget")
 
 
 @dataclass(frozen=True)
@@ -84,6 +109,9 @@ class SolutionSet:
     distances: np.ndarray
     nontrivial: list[bool]
     zero_excluded: bool
+    # (phase, index, outcome, iterations) per start and per deflation
+    # attempt, phase "start" or "deflation"; not serialised
+    outcomes: list[tuple[str, int, str, int]] = field(default_factory=list)
 
     @property
     def found_three(self) -> bool:
@@ -220,6 +248,9 @@ class _RawPoint:
     residual_sup: float
     iterations: int
     converged: bool
+    # one of OUTCOMES; find_three relabels a converged point that lies within
+    # distinct_tol of an accepted one from "new" to "duplicate"
+    outcome: str
 
 
 def _finalize(prob: Problem, lam: float, raw: _RawPoint, groups: _Groups) -> CriticalPoint:
@@ -242,14 +273,30 @@ def _diverged(prob: Problem, lam: float, z: np.ndarray, iters: int) -> _RawPoint
         act = prob.action_vec(lam, z)
         rsup = _sup(prob.residual_vec(lam, z))
     act = act if np.isfinite(act) else -np.inf
-    return _RawPoint(z=z, action=act, residual_sup=rsup, iterations=iters, converged=False)
+    return _RawPoint(z=z, action=act, residual_sup=rsup, iterations=iters, converged=False,
+                     outcome="diverged")
+
+
+def _newton_outcome(rsup: float, iters: int, cap: int, tol: float) -> str:
+    """Outcome of a Newton loop that ended with residual rsup after iters of
+    at most cap iterations."""
+    return "new" if rsup <= tol else "budget" if iters >= cap else "stalled"
 
 
 DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polish
 
 
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
-                groups: _Groups) -> _RawPoint:
+                groups: _Groups, accepted: Optional[Sequence[_RawPoint]] = None
+                ) -> _RawPoint:
+    """Descend from z0, then polish with Newton.
+
+    The multistart phase passes the points it has accepted so far, which
+    turns on its two early exits (see the module docstring): "diverged" past
+    |z|inf = DIVERGE_SCALE * (1 + start_scale), and "captured" inside the
+    ball of relative radius CAPTURE_REL around a nontrivial accepted point
+    while the action is still above that point's.
+    """
     z = np.asarray(z0, dtype=float).copy()
     mu = prob.mu_dofs
     iters = 0
@@ -257,11 +304,21 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
     prev_z = None
     prev_grad = None
     budget = min(cfg.max_iters, DESCENT_BUDGET)
+    bound = DIVERGE_NORM
+    balls = []
+    if accepted is not None:
+        bound = min(bound, DIVERGE_SCALE * (1.0 + prob.start_scale))
+        balls = [(a.z, CAPTURE_REL * r, a.action) for a in accepted
+                 if (r := prob.wnorm_vec(a.z)) > 0.0]
     with np.errstate(over="ignore", invalid="ignore"):
         a_val = prob.action_vec(lam, z)
         # phase 1: gradient descent, Armijo backtracking (halving), with a
         # Barzilai-Borwein guess seeding each line search
         while iters < budget:
+            if any(a_val > act and prob.wnorm_vec(z - zk) < radius
+                   for zk, radius, act in balls):
+                return _RawPoint(z=z, action=a_val, residual_sup=np.inf,  # not evaluated
+                                 iterations=iters, converged=False, outcome="captured")
             res = prob.residual_vec(lam, z)
             rsup = _sup(res)
             if rsup < NEWTON_SWITCH:
@@ -289,7 +346,7 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
             prev_z, prev_grad = z, grad
             z, a_val, t_warm = cand, c_val, t
             iters += 1
-            if a_val < DIVERGE_ACTION or float(np.max(np.abs(z))) > DIVERGE_NORM:
+            if a_val < DIVERGE_ACTION or float(np.max(np.abs(z))) > bound:
                 return _diverged(prob, lam, z, iters)
         return _newton_polish(prob, lam, z, cfg, iters, groups)
 
@@ -336,7 +393,8 @@ def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
             iters += 1
         act = prob.action_vec(lam, z)
     return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,
-                     converged=rsup <= cfg.grad_tol)
+                     converged=rsup <= cfg.grad_tol,
+                     outcome=_newton_outcome(rsup, iters, cfg.max_iters, cfg.grad_tol))
 
 
 def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> CriticalPoint:
@@ -432,7 +490,8 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
         rsup = _sup(res)
         act = prob.action_vec(lam, z)
     return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,
-                     converged=rsup <= cfg.grad_tol)
+                     converged=rsup <= cfg.grad_tol,
+                     outcome=_newton_outcome(rsup, iters, cap, cfg.grad_tol))
 
 
 def deflated_solve(prob: Problem, lam: float, known: Sequence[State],
@@ -488,11 +547,19 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
 
     groups = _jacobian_groups(prob)
     accepted: list[_RawPoint] = []
+    outcomes: list[tuple[str, int, str, int]] = []
+
+    def accept(phase: str, index: int, raw: _RawPoint) -> None:
+        if raw.converged:
+            if _distinct(prob, raw.z, (a.z for a in accepted), cfg.distinct_tol):
+                accepted.append(raw)
+            else:
+                raw.outcome = "duplicate"
+        outcomes.append((phase, index, raw.outcome, raw.iterations))
+
     for i in range(cfg.starts + 1):  # index 0 is the deterministic origin start
-        raw = _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius), cfg, groups)
-        if raw.converged and _distinct(prob, raw.z, (a.z for a in accepted),
-                                       cfg.distinct_tol):
-            accepted.append(raw)
+        accept("start", i, _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius),
+                                       cfg, groups, accepted))
 
     attempts = max(32, cfg.starts)
     attempt = 0
@@ -503,11 +570,9 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
             base = np.zeros(prob.n_dofs)
         scale = (0.25, 0.5, 1.0, 2.0)[attempt % 4]
         z0 = base + _perturbation(cfg, attempt, prob.n_dofs, scale * radius)
+        raw = _deflated_newton(prob, lam, [a.z for a in accepted], z0, cfg, groups)
+        accept("deflation", attempt, raw)
         attempt += 1
-        knowns = [a.z for a in accepted]
-        raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
-        if raw.converged and _distinct(prob, raw.z, knowns, cfg.distinct_tol):
-            accepted.append(raw)
 
     accepted.sort(key=lambda r: r.action)
     points = [_finalize(prob, lam, raw, groups) for raw in accepted]
@@ -525,6 +590,7 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
         distances=dist,
         nontrivial=nontrivial,
         zero_excluded=prob.nonlinearity.zero_is_excluded(),
+        outcomes=outcomes,
     )
 
 

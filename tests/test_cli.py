@@ -1,6 +1,7 @@
 import json
 
 import graphvar as gv
+from graphvar import solver
 from graphvar.cli import main
 
 
@@ -128,6 +129,24 @@ def test_solve_reproduce_61_expect_three(tmp_path, capsys):
     assert "distinct critical point" in stdout
 
 
+def test_solve_manifest_counts_every_start_and_attempt(tmp_path, monkeypatch):
+    attempts = []
+    deflated = solver._deflated_newton
+    monkeypatch.setattr(solver, "_deflated_newton",
+                        lambda *a: attempts.append(1) or deflated(*a))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--reproduce", "example-6.1", "--lambda", "0.3",
+                 "--seed", "7", "--starts", "6", "-o", str(out)]) == 0
+    stats = json.loads((tmp_path / "sol.json.manifest.json").read_text())["stats"]
+    assert set(stats["start"]) == set(stats["deflation"]) == set(solver.OUTCOMES)
+    assert sum(stats["start"].values()) == 6 + 1
+    assert sum(stats["deflation"].values()) == len(attempts) > 0
+    assert stats["start"]["new"] + stats["deflation"]["new"] == len(
+        json.loads(out.read_text())["points"])
+    assert stats["start"]["diverged"] > 0  # r1 = 2 = p: unbounded below
+    assert '"minimizer" labels are local' in stats["note"]
+
+
 def test_solve_tiny_lambda_exit4(tmp_path):
     out = tmp_path / "sol2.json"
     code = main(["solve", "--reproduce", "example-6.1", "--lambda", "1e-9",
@@ -181,6 +200,9 @@ def test_sweep_rows_and_validation(tmp_path):
         fields = row.split(",")
         assert int(fields[1]) >= 3
         assert float(fields[3]) < 1e-8
+    stats = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["stats"]
+    assert [s["lambda"] for s in stats] == [0.2, 0.4]
+    assert all(sum(s["start"].values()) == 8 + 1 for s in stats)
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.2",
                  "--lambda-max", "0.4", "--steps", "1", "-o", str(out)]) == 2
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.4",

@@ -108,6 +108,82 @@ def test_minimize_descent_property_even_when_escaping(prep61, cfg):
     assert pt.kind == "unclassified"
 
 
+def test_multistart_descent_stops_just_past_the_divergence_bound(prep61, cfg):
+    # the escaping start above, as a multistart start: it ends "diverged"
+    # at the first step past DIVERGE_SCALE * (1 + start_scale), in fewer
+    # steps than the single-start descent, which runs on to DIVERGE_ACTION
+    prob = prep61.problem
+    z0 = np.concatenate([np.full(prob.graph.n_vertices, d) for d in prep61.deltas])
+    groups = solver._jacobian_groups(prob)
+    cut = solver._minimize_z(prob, 0.3, z0, cfg, groups, [])
+    full = solver._minimize_z(prob, 0.3, z0, cfg, groups)
+    bound = solver.DIVERGE_SCALE * (1.0 + prob.start_scale)
+    assert (cut.outcome, cut.converged) == ("diverged", False)
+    assert bound < np.max(np.abs(cut.z)) < 2.0 * bound
+    assert full.outcome == "diverged"
+    assert np.max(np.abs(full.z)) > 10.0 * bound
+    assert cut.iterations < full.iterations
+
+
+@pytest.fixture(scope="module")
+def close_pair(prep61):
+    """Example 6.1 at lambda = 0.5, seed 5: a minimizer far out, a saddle
+    3.0% of its norm away (the closest two critical points of the
+    acceptance solves at seeds 0-9 and 42), and the minimizer near zero;
+    each as an accepted raw point."""
+    prob = prep61.problem
+    sset = gv.find_three(prob, 0.5, gv.SolverConfig(seed=5, starts=8),
+                         start_radius=1.0 + max(prep61.deltas))
+    assert [p.kind for p in sset.points] == ["minimizer", "saddle", "minimizer"]
+    raws = []
+    for p in sset.points:
+        z = prob.pack_state(p.state)
+        raws.append(solver._RawPoint(z=z, action=p.action_value, residual_sup=p.residual_sup,
+                                     iterations=0, converged=True, outcome="new"))
+    far, saddle, near = raws
+    rel = prob.wnorm_vec(far.z - saddle.z) / prob.wnorm_vec(far.z)
+    assert 0.029 < rel < 0.031
+    return far, saddle, near
+
+
+def test_start_next_to_an_accepted_point_is_captured(prep61, cfg, close_pair, monkeypatch):
+    prob = prep61.problem
+    near = close_pair[2]
+    builds = []
+    fd = solver._fd_jacobian
+    monkeypatch.setattr(solver, "_fd_jacobian", lambda *a: builds.append(1) or fd(*a))
+    z0 = near.z + 1e-6 * np.random.default_rng(0).uniform(-1.0, 1.0, prob.n_dofs)
+    raw = solver._minimize_z(prob, 0.5, z0, cfg, solver._jacobian_groups(prob), [near])
+    assert (raw.outcome, raw.converged, raw.iterations) == ("captured", False, 0)
+    assert builds == []
+
+
+def test_saddle_close_to_an_accepted_minimizer_is_not_captured(prep61, cfg, close_pair):
+    # the saddle lies 3.0% (relative) from the far minimizer and above it in
+    # action; a capture ball ten times CAPTURE_REL would swallow it
+    prob = prep61.problem
+    far, saddle, _ = close_pair
+    raw = solver._minimize_z(prob, 0.5, saddle.z, cfg, solver._jacobian_groups(prob), [far])
+    assert (raw.outcome, raw.converged) == ("new", True)
+    assert prob.wnorm_vec(raw.z - saddle.z) < cfg.distinct_tol
+
+
+def test_start_below_an_accepted_saddle_descends_away(prep61, cfg, close_pair):
+    # inside the saddle's capture ball but below its action: the descent
+    # leaves along the unstable direction and ends at the far minimizer
+    prob = prep61.problem
+    far, saddle, _ = close_pair
+    groups = solver._jacobian_groups(prob)
+    eig, vec = np.linalg.eigh(solver._hessian(prob, 0.5, saddle.z, groups))
+    assert eig[0] < 0.0
+    z0 = saddle.z + 0.5 * vec[:, 0] * np.sign(np.dot(vec[:, 0], far.z - saddle.z))
+    assert prob.wnorm_vec(z0 - saddle.z) < solver.CAPTURE_REL * prob.wnorm_vec(saddle.z)
+    assert prob.action_vec(0.5, z0) < saddle.action
+    raw = solver._minimize_z(prob, 0.5, z0, cfg, groups, [saddle])
+    assert (raw.outcome, raw.converged) == ("new", True)
+    assert prob.wnorm_vec(raw.z - far.z) < cfg.distinct_tol
+
+
 def test_residual_at_zero_state(prep61):
     prob = prep61.problem
     model = prob.nonlinearity
@@ -247,6 +323,10 @@ def test_find_three_deterministic_bytes(prep61):
     a = gv.find_three(prep61.problem, 0.3, cfg, start_radius=1.0 + max(prep61.deltas))
     b = gv.find_three(prep61.problem, 0.3, cfg, start_radius=1.0 + max(prep61.deltas))
     assert solution_set_to_json(a) == solution_set_to_json(b)
+    # the outcome record is not serialised; it repeats as well
+    assert a.outcomes == b.outcomes
+    assert [o[:2] for o in a.outcomes if o[0] == "start"] == [
+        ("start", i) for i in range(cfg.starts + 1)]
 
 
 def test_find_three_repeats_byte_identical(prep61):
