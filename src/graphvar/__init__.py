@@ -49,7 +49,6 @@ from .intervals import (
     box_max_F,
     interval_finite,
     interval_locally_finite,
-    interval_scalar,
     kappa_finite,
     local_mass,
 )

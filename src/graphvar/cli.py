@@ -153,7 +153,6 @@ def cmd_op(args) -> int:
 def cmd_interval(args) -> int:
     prep, inputs = _load_problem(args)
     mode = args.mode or prep.mode
-    strategy = args.strategy
     # --gamma/--delta for one component, --gamma1/--gamma2/... for two
     k = len(prep.problem.components)
     sub = ("",) if k == 1 else ("1", "2")
@@ -166,14 +165,13 @@ def cmd_interval(args) -> int:
         raise BadParam("intervals need " + ", ".join(
             f"--{name}{s}" for name in ("gamma", "delta") for s in sub))
     if mode == "finite":
-        report = interval_finite(prep.problem, *values, strategy=strategy)
+        report = interval_finite(prep.problem, *values)
     else:
         report = interval_locally_finite(
             prep.problem, args.x0 or prep.x0, *values,
             h0=args.h0 if args.h0 is not None else prep.h0,
-            mu0=args.mu0 if args.mu0 is not None else prep.mu0, strategy=strategy)
-    config = {"mode": mode, "gammas": values[:k], "deltas": values[k:],
-              "strategy": strategy}
+            mu0=args.mu0 if args.mu0 is not None else prep.mu0)
+    config = {"mode": mode, "gammas": values[:k], "deltas": values[k:]}
 
     text = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     si = subs.add_parser("interval", help="compute the admissible parameter interval")
     _add_problem_args(si)
     si.add_argument("--mode", choices=["finite", "locally_finite"])
-    si.add_argument("--strategy", choices=["grid", "corner"], default="grid")
     si.add_argument("--gamma1", type=float)
     si.add_argument("--gamma2", type=float)
     si.add_argument("--delta1", type=float)

@@ -15,8 +15,9 @@ past k are zero.  On locally finite graphs (orders 1, with Dirichlet
 truncation) the endpoints use the radial envelope a and the local masses M_i
 concentrated at the support vertex x0.
 
-Each report carries per-hypothesis verdicts with witnesses.  Growth and
-smoothness hypotheses are checked by sampling (a heuristic, not a proof);
+Each report carries per-hypothesis verdicts with witnesses.  The maxima of F
+over the box and of a over [0, rho] are sampled (see box_max_F), and growth
+and smoothness hypotheses are checked by sampling (a heuristic, not a proof);
 membership/floor hypotheses are exact finite checks on the stored data.
 Endpoints are plain 64-bit arithmetic; emitted reports carry 12 significant
 digits.
@@ -41,6 +42,7 @@ from .nonlinearity import (
 )
 
 GRID_POINTS = 513
+FINE_POINTS = 2 * GRID_POINTS - 1  # the grid of the refinement gap
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -123,11 +125,6 @@ def kappa_finite(prob: Problem) -> tuple[float, ...]:
                  for c in prob.components)
 
 
-def kappa_scalar_finite(prob: Problem) -> float:
-    """kappa of a one-component problem."""
-    return kappa_finite(prob)[0]
-
-
 def _mass_one(g: WeightedGraph, i0: int, expo: float, h_arr: np.ndarray) -> float:
     mu0 = g.mu[i0]
     total = (g.degrees()[i0] / (2.0 * mu0)) ** (expo / 2.0) * mu0 + h_arr[i0] * mu0
@@ -205,23 +202,15 @@ def _grid_max_2d(fn, s_max: float, t_max: float, n: int) -> float:
     return max(best, float(fn(np.asarray(bs), np.asarray(bt))))
 
 
-def box_max_F(model: NonlinearityModel, s_max: float, t_max: float,
-              strategy: str = "grid") -> float:
-    """Maximum of F over the closed box |s| <= s_max, |t| <= t_max.
-
-    The default strategy is a 513-point-per-axis grid followed by
-    golden-section refinement around the best cell; "corner" evaluates only
-    the corners and axis extremes, exact for models that are monotone in
-    |s| and |t|.
+def box_max_F(model: NonlinearityModel, s_max: float, t_max: float) -> float:
+    """Sampled maximum of F over the closed box |s| <= s_max, |t| <= t_max:
+    a GRID_POINTS-per-axis grid followed by golden-section refinement around
+    the best cell.  It can fall short of the true maximum, which overstates
+    lambda_hi; a report's refinement_gap is how much it moves on a finer grid,
+    a sensitivity and not a bound on that error.
     """
     if s_max <= 0.0 or t_max < 0.0:
         raise BadParam(f"box bounds must be positive, got ({s_max}, {t_max})")
-    if strategy == "corner":
-        pts_s = np.array([-s_max, 0.0, s_max])
-        pts_t = np.array([-t_max, 0.0, t_max]) if t_max > 0 else np.array([0.0])
-        return float(np.max(model.F(pts_s[:, None], pts_t[None, :])))
-    if strategy != "grid":
-        raise BadParam(f"unknown box_max strategy {strategy!r}")
     return _box_grid_max(model, s_max, t_max, GRID_POINTS)
 
 
@@ -231,30 +220,17 @@ def _box_grid_max(model: NonlinearityModel, s_max: float, t_max: float, n: int) 
     return _grid_max_2d(model.F, s_max, t_max, n)
 
 
-def envelope_max(model: NonlinearityModel, rho_max: float,
-                 strategy: str = "grid") -> float:
-    """Maximum of the radial envelope a over [0, rho_max]."""
+def envelope_max(model: NonlinearityModel, rho_max: float) -> float:
+    """Sampled maximum of the radial envelope a over [0, rho_max], as in box_max_F."""
     if model.envelope is None:
         raise MissingEnvelope("model has no (a, b) envelope")
     if rho_max <= 0.0:
         raise BadParam(f"radius must be positive, got {rho_max}")
-    if strategy == "corner":
-        return float(np.max(model.envelope(np.array([0.0, rho_max]))))
-    if strategy != "grid":
-        raise BadParam(f"unknown box_max strategy {strategy!r}")
     return _grid_max_1d(model.envelope, 0.0, rho_max, GRID_POINTS)
 
 
-# The refinement gaps compare a GRID_POINTS grid maximum, already computed by
-# box_max_F / envelope_max, with the same maximum on the refined grid.
-
-def _refinement_gap_box(model, coarse: float, s_max: float, t_max: float) -> float:
-    fine = _box_grid_max(model, s_max, t_max, 2 * GRID_POINTS - 1)
-    return abs(fine - coarse) / max(1.0, abs(fine))
-
-
-def _refinement_gap_envelope(model, coarse: float, rho_max: float) -> float:
-    fine = _grid_max_1d(model.envelope, 0.0, rho_max, 2 * GRID_POINTS - 1)
+def _refinement_gap(coarse: float, fine: float) -> float:
+    """Relative change of a maximum from GRID_POINTS to FINE_POINTS per axis."""
     return abs(fine - coarse) / max(1.0, abs(fine))
 
 
@@ -361,8 +337,7 @@ def _check_f3(gammas, deltas, kappas, letter: str, big1: float,
     return HypothesisCheck("F3", ok, ", ".join(witness))
 
 
-def interval_finite(prob: Problem, *values: float,
-                    strategy: str = "grid") -> IntervalReport:
+def interval_finite(prob: Problem, *values: float) -> IntervalReport:
     """Admissible interval on a finite graph from k gammas then k deltas:
     T1.1 for the coupled system, T5.1 for one component.
 
@@ -382,8 +357,8 @@ def interval_finite(prob: Problem, *values: float,
     box = tuple((l * r) ** (1.0 / l) / (hm * mu_min) ** (1.0 / l)
                 for l, hm in zip(ls, h_mins))
 
-    max_f = box_max_F(model, *_pad(box), strategy=strategy)
-    gap = _refinement_gap_box(model, max_f, *_pad(box)) if strategy == "grid" else 0.0
+    max_f = box_max_F(model, *_pad(box))
+    gap = _refinement_gap(max_f, _box_grid_max(model, *_pad(box), FINE_POINTS))
     inf_f = float(model.F(*(np.asarray(d) for d in _pad(deltas))))
     if model.support is not None and g.n_vertices > 1:
         max_f = max(max_f, 0.0)
@@ -412,8 +387,8 @@ def interval_finite(prob: Problem, *values: float,
 
 
 def interval_locally_finite(prob: Problem, x0: str, *values: float,
-                            h0: Optional[float] = None, mu0: Optional[float] = None,
-                            strategy: str = "grid") -> IntervalReport:
+                            h0: Optional[float] = None,
+                            mu0: Optional[float] = None) -> IntervalReport:
     """Admissible interval for an order-1 problem on a locally finite graph
     from k gammas then k deltas, evaluated on its Dirichlet truncation:
     T1.2 for the coupled system, T5.2 for one component.
@@ -439,8 +414,8 @@ def interval_locally_finite(prob: Problem, x0: str, *values: float,
 
     r = sum(gm ** l for gm, l in zip(gammas, ls))
     rho = sum((l * r) ** (1.0 / l) / (h0 * mu0) ** (1.0 / l) for l in ls)
-    max_a = envelope_max(model, rho, strategy=strategy)
-    gap = _refinement_gap_envelope(model, max_a, rho) if strategy == "grid" else 0.0
+    max_a = envelope_max(model, rho)
+    gap = _refinement_gap(max_a, _grid_max_1d(model.envelope, 0.0, rho, FINE_POINTS))
     int_b = float(g.mu[i0])  # b is the indicator of x0
 
     masses = [_mass_one(g, i0, float(c.l), c.h.values) for c in prob.components]
@@ -479,16 +454,3 @@ def interval_locally_finite(prob: Problem, x0: str, *values: float,
     return _finish(_THEOREMS["locally_finite", k], kappas, (rho,), lo, hi, checks, gap,
                    notes)
 
-
-def interval_scalar(prob: Problem, gamma: float, delta: float,
-                    mode: str = "finite", x0: Optional[str] = None,
-                    h0: Optional[float] = None, mu0: Optional[float] = None,
-                    strategy: str = "grid") -> IntervalReport:
-    """The one-component intervals: T5.1 for mode="finite", T5.2 for
-    mode="locally_finite" (which needs x0 and the floors h0, mu0)."""
-    if mode == "finite":
-        return interval_finite(prob, gamma, delta, strategy=strategy)
-    if mode != "locally_finite":
-        raise BadParam(f"unknown mode {mode!r}")
-    return interval_locally_finite(prob, x0, gamma, delta, h0=h0, mu0=mu0,
-                                   strategy=strategy)

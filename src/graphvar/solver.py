@@ -268,10 +268,8 @@ def _finalize(prob: Problem, lam: float, raw: _RawPoint, groups: _Groups) -> Cri
     )
 
 
-def _diverged(prob: Problem, lam: float, z: np.ndarray, iters: int) -> _RawPoint:
-    with np.errstate(all="ignore"):
-        act = prob.action_vec(lam, z)
-        rsup = _sup(prob.residual_vec(lam, z))
+def _diverged(z: np.ndarray, act: float, rsup: float, iters: int) -> _RawPoint:
+    """A run stopped past a divergence bound, from the values its loop holds."""
     act = act if np.isfinite(act) else -np.inf
     return _RawPoint(z=z, action=act, residual_sup=rsup, iterations=iters, converged=False,
                      outcome="diverged")
@@ -347,7 +345,7 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
             z, a_val, t_warm = cand, c_val, t
             iters += 1
             if a_val < DIVERGE_ACTION or float(np.max(np.abs(z))) > bound:
-                return _diverged(prob, lam, z, iters)
+                return _diverged(z, a_val, np.inf, iters)  # residual not evaluated
         return _newton_polish(prob, lam, z, cfg, iters, groups)
 
 
@@ -486,7 +484,7 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
             stalls = 0 if moved else stalls + 1
             iters += 1
             if float(np.max(np.abs(z))) > DIVERGE_NORM:
-                return _diverged(prob, lam, z, iters)
+                return _diverged(z, prob.action_vec(lam, z), _sup(res), iters)
         rsup = _sup(res)
         act = prob.action_vec(lam, z)
     return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,

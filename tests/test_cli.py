@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import graphvar as gv
 from graphvar import solver
-from graphvar.cli import main
+from graphvar.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_graph(tmp_path, doc, name="g.json"):
@@ -104,6 +108,22 @@ def test_interval_boundary_deltas_exit3_report_written(tmp_path):
     assert doc["valid"] is False
     failed = {h["name"] for h in doc["hypotheses"] if not h["pass"]}
     assert "F3" in failed
+
+
+def test_interval_flag_falls_back_to_the_problem_value(tmp_path):
+    prep = gv.builtin_problem("example-6.1")
+    bare, one = tmp_path / "bare.json", tmp_path / "one.json"
+    assert main(["interval", "--reproduce", "example-6.1", "-o", str(bare)]) == 0
+    assert main(["interval", "--reproduce", "example-6.1",
+                 "--gamma1", repr(prep.gammas[0]), "-o", str(one)]) == 0
+    assert one.read_bytes() == bare.read_bytes()
+
+    prep = gv.builtin_problem("example-6.2")
+    out = tmp_path / "gamma.json"
+    assert main(["interval", "--reproduce", "example-6.2", "--gamma", "1.5",
+                 "-o", str(out)]) == 0
+    config = json.loads((tmp_path / "gamma.json.manifest.json").read_text())["config"]
+    assert (config["gammas"], config["deltas"]) == ([1.5], [prep.deltas[0]])
 
 
 def test_interval_reports_byte_identical(tmp_path):
@@ -250,13 +270,14 @@ def test_op_validates_order_exponent_pair(tmp_path):
                  "--m", "0", "--p", "2.0"]) == 2
 
 
-def test_interval_corner_strategy_matches_grid(tmp_path):
-    # the bundled models are monotone in |s|, |t|: corner evaluation is exact
-    out_g, out_c = tmp_path / "g.json", tmp_path / "c.json"
-    assert main(["interval", "--reproduce", "example-6.1", "-o", str(out_g)]) == 0
-    assert main(["interval", "--reproduce", "example-6.1",
-                 "--strategy", "corner", "-o", str(out_c)]) == 0
-    grid = json.loads(out_g.read_text())
-    corner = json.loads(out_c.read_text())
-    assert abs(grid["lambda_hi"] - corner["lambda_hi"]) <= 1e-9 * grid["lambda_hi"]
-    assert grid["lambda_lo"] == corner["lambda_lo"]
+def test_readme_command_examples_parse():
+    # every `graphvar ...` line of README's "Command line" block, with its
+    # backslash continuations joined, is accepted by the parser (not run)
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("graphvar ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -9,7 +9,7 @@ import graphvar as gv
 from graphvar.cli import main
 from graphvar.errors import BadParam, MissingEnvelope
 from graphvar.functionals import ScalarProblem
-from graphvar.intervals import envelope_max, kappa_scalar_finite
+from graphvar.intervals import envelope_max, kappa_finite
 from graphvar.nonlinearity import NonlinearityModel
 from graphvar.problems import builtin_problem
 from graphvar.sobolev import SobolevSpec, w_norm_power
@@ -53,14 +53,14 @@ def test_kappa_single_vertex_h_equals_p():
         prob = ScalarProblem(graph=g, m=1, p=p,
                              h=gv.VertexFunction.constant(g, p),
                              nonlinearity=zero_model())
-        assert kappa_scalar_finite(prob) == pytest.approx(1.0, rel=1e-14)
+        assert kappa_finite(prob)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_kappa_p2(p2):
     prob = ScalarProblem(graph=p2, m=1, p=2.0,
                          h=gv.VertexFunction.constant(p2, 1.0),
                          nonlinearity=zero_model())
-    assert kappa_scalar_finite(prob) == pytest.approx(1.0, rel=1e-14)
+    assert kappa_finite(prob)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 # -- local mass ----------------------------------------------------------
@@ -90,9 +90,7 @@ def test_local_mass_p2_pair(p2):
 def test_box_max_reference_value(prep61):
     model = prep61.problem.nonlinearity
     want = 0.5 * W1 ** 2 + 0.5 * W2 ** 2
-    for strategy in ("grid", "corner"):
-        got = gv.box_max_F(model, W1, W2, strategy=strategy)
-        assert got == pytest.approx(want, rel=1e-9)
+    assert gv.box_max_F(model, W1, W2) == pytest.approx(want, rel=1e-9)
 
 
 def test_box_max_zero_model():
@@ -102,8 +100,7 @@ def test_box_max_zero_model():
 def test_envelope_max_reference(prep62):
     model = prep62.problem.nonlinearity
     want = 0.5 * 4.0 ** (2.0 / 3.0) + 1.0
-    for strategy in ("grid", "corner"):
-        assert envelope_max(model, W, strategy=strategy) == pytest.approx(want, rel=1e-9)
+    assert envelope_max(model, W) == pytest.approx(want, rel=1e-9)
     with pytest.raises(MissingEnvelope):
         envelope_max(zero_model(), 1.0)
 
@@ -111,8 +108,6 @@ def test_envelope_max_reference(prep62):
 def test_box_max_validation(prep61):
     with pytest.raises(BadParam):
         gv.box_max_F(prep61.problem.nonlinearity, -1.0, 1.0)
-    with pytest.raises(BadParam):
-        gv.box_max_F(prep61.problem.nonlinearity, 1.0, 1.0, strategy="annealing")
 
 
 # -- the finite coupled interval ------------------------------------------
@@ -244,9 +239,8 @@ def test_truncated_spike_energy_matches_local_mass(prep62):
 # -- the scalar intervals ---------------------------------------------------
 
 def test_interval_62_reproduces_reference(prep62):
-    rep = gv.interval_scalar(prep62.problem, prep62.gammas[0], prep62.deltas[0],
-                             mode="locally_finite", x0=prep62.x0,
-                             h0=prep62.h0, mu0=prep62.mu0)
+    rep = gv.interval_locally_finite(prep62.problem, prep62.x0, prep62.gammas[0],
+                                     prep62.deltas[0], h0=prep62.h0, mu0=prep62.mu0)
     assert rep.valid
     assert rep.theorem == "T5.2"
     assert rel_close(rep.lambda_lo, 0.0371, 2e-2)
@@ -259,9 +253,8 @@ def test_interval_62_reproduces_reference(prep62):
 def test_interval_62_boundary_gamma_invalid(prep62):
     kappa = (16.0 / 3.0) ** (-1.0 / 3.0)
     delta = prep62.deltas[0]
-    rep = gv.interval_scalar(prep62.problem, delta / kappa, delta,
-                             mode="locally_finite", x0=prep62.x0,
-                             h0=prep62.h0, mu0=prep62.mu0)
+    rep = gv.interval_locally_finite(prep62.problem, prep62.x0, delta / kappa, delta,
+                                     h0=prep62.h0, mu0=prep62.mu0)
     assert not rep.valid
 
 
@@ -275,7 +268,7 @@ def test_interval_scalar_finite_smoke(prep61):
         seams_s=m61.seams_s, s_scale=m61.s_scale, t_scale=0.0)
     prob = ScalarProblem(graph=prep61.problem.graph, m=2, p=2.0,
                          h=prep61.problem.components[0].h, nonlinearity=reduced)
-    rep = gv.interval_scalar(prob, prep61.gammas[0], prep61.deltas[0], mode="finite")
+    rep = gv.interval_finite(prob, prep61.gammas[0], prep61.deltas[0])
     assert rep.theorem == "T5.1"
     assert math.isfinite(rep.lambda_lo) and rep.lambda_lo > 0.0
     assert rep.lambda_lo < rep.lambda_hi
@@ -283,11 +276,9 @@ def test_interval_scalar_finite_smoke(prep61):
 
 def test_interval_scalar_validation(prep62):
     with pytest.raises(BadParam):
-        gv.interval_scalar(prep62.problem, 0.0, 1.0)
+        gv.interval_finite(prep62.problem, 0.0, 1.0)
     with pytest.raises(BadParam):
-        gv.interval_scalar(prep62.problem, 1.0, 1.0, mode="other")
-    with pytest.raises(BadParam):
-        gv.interval_scalar(prep62.problem, 1.0, 1.0, mode="locally_finite")
+        gv.interval_locally_finite(prep62.problem, None, 1.0, 1.0)
 
 
 # -- report serialization ----------------------------------------------------
@@ -305,11 +296,12 @@ def test_report_doc_round_trips(prep61):
 
 
 # -- pinned reports ------------------------------------------------------------
-# Each theorem path's full report text under both box-maximum strategies, as
-# the CLI writes it; a report that moves in any digit or word fails here.
+# Each theorem path's full report text, as the CLI writes it; a report that
+# moves in any digit or word fails here.  The pins carry the name of the grid
+# search for the box maximum that wrote them, and the test ids keep it.
 
 PINS = Path(__file__).parent / "pins"
-STRATEGIES = ("grid", "corner")
+SEARCHES = ("grid",)
 
 
 def report_text(rep) -> str:
@@ -328,28 +320,25 @@ def reduced_scalar_problem(prob61):
                          nonlinearity=reduced)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("search", SEARCHES)
 @pytest.mark.parametrize("key, printed", [("example-6.1", "(0.0761374, 0.653027)"),
                                           ("example-6.2", "(0.0370613, 2.35996)")])
-def test_reproduce_reports_match_pins(tmp_path, capsys, key, printed, strategy):
+def test_reproduce_reports_match_pins(tmp_path, capsys, key, printed, search):
     out = tmp_path / "report.json"
-    assert main(["interval", "--reproduce", key, "--strategy", strategy,
-                 "-o", str(out)]) == 0
+    assert main(["interval", "--reproduce", key, "-o", str(out)]) == 0
     assert capsys.readouterr().out == f"lambda interval: {printed}  valid: True\n"
-    assert out.read_text() == (PINS / f"{key}-{strategy}.json").read_text()
+    assert out.read_text() == (PINS / f"{key}-{search}.json").read_text()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_t12_report_matches_pin(strategy):
+@pytest.mark.parametrize("search", SEARCHES)
+def test_t12_report_matches_pin(search):
     prob, x0 = coupled_lattice_problem()
-    rep = gv.interval_locally_finite(prob, x0, 1.0, 0.1, 6.0 * W, 0.1,
-                                     h0=4.0, mu0=1.0, strategy=strategy)
-    assert report_text(rep) == (PINS / f"T1.2-lattice-{strategy}.json").read_text()
+    rep = gv.interval_locally_finite(prob, x0, 1.0, 0.1, 6.0 * W, 0.1, h0=4.0, mu0=1.0)
+    assert report_text(rep) == (PINS / f"T1.2-lattice-{search}.json").read_text()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_t51_report_matches_pin(prep61, strategy):
+@pytest.mark.parametrize("search", SEARCHES)
+def test_t51_report_matches_pin(prep61, search):
     prob = reduced_scalar_problem(prep61.problem)
-    rep = gv.interval_scalar(prob, prep61.gammas[0], prep61.deltas[0],
-                             mode="finite", strategy=strategy)
-    assert report_text(rep) == (PINS / f"T5.1-reduced-{strategy}.json").read_text()
+    rep = gv.interval_finite(prob, prep61.gammas[0], prep61.deltas[0])
+    assert report_text(rep) == (PINS / f"T5.1-reduced-{search}.json").read_text()

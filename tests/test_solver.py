@@ -108,14 +108,21 @@ def test_minimize_descent_property_even_when_escaping(prep61, cfg):
     assert pt.kind == "unclassified"
 
 
-def test_multistart_descent_stops_just_past_the_divergence_bound(prep61, cfg):
+def test_multistart_descent_stops_just_past_the_divergence_bound(prep61, cfg, monkeypatch):
     # the escaping start above, as a multistart start: it ends "diverged"
     # at the first step past DIVERGE_SCALE * (1 + start_scale), in fewer
-    # steps than the single-start descent, which runs on to DIVERGE_ACTION
+    # steps than the single-start descent, which runs on to DIVERGE_ACTION;
+    # it evaluates one residual per step and keeps the line search's action
     prob = prep61.problem
     z0 = np.concatenate([np.full(prob.graph.n_vertices, d) for d in prep61.deltas])
     groups = solver._jacobian_groups(prob)
+    calls = []
+    residual_vec = type(prob).residual_vec
+    monkeypatch.setattr(type(prob), "residual_vec",
+                        lambda self, *a: calls.append(1) or residual_vec(self, *a))
     cut = solver._minimize_z(prob, 0.3, z0, cfg, groups, [])
+    assert (cut.iterations, len(calls), cut.residual_sup) == (17, 17, np.inf)
+    assert cut.action == prob.action_vec(0.3, cut.z)
     full = solver._minimize_z(prob, 0.3, z0, cfg, groups)
     bound = solver.DIVERGE_SCALE * (1.0 + prob.start_scale)
     assert (cut.outcome, cut.converged) == ("diverged", False)
