@@ -7,7 +7,6 @@ and a multistart/deflation critical-point solver.
 """
 
 from .calculus import (
-    OperatorRequest,
     gamma,
     grad_norm,
     laplacian,

@@ -18,13 +18,13 @@ Exponents p in (1, 2) make coefficients |grad u|^(p-2) singular where the
 gradient vanishes.  Vanishing entries are replaced by (|grad u| + 1e-12)^(p-2)
 and a RegularizationWarning is emitted; exact-constant inputs short-circuit
 to zero output.  Every neighbor sum runs in the deterministic edge order of
-the graph, fully in 64-bit floats.
+the graph, fully in 64-bit floats.  The array kernels take one 1-D array of
+vertex values per argument.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +34,8 @@ from .graph import VertexFunction, WeightedGraph, check_domain
 EPS_REG = 1e-12
 
 
-@dataclass(frozen=True)
-class OperatorRequest:
-    """A validated (order, exponent) pair for the higher-order operators."""
-
-    m: int
-    p: float
-
-    def __post_init__(self):
-        _check_order(self.m)
-        _check_exponent(self.p)
-
-
 # ---------------------------------------------------------------------------
-# array-level kernels (values aligned with graph vertex order; an optional
-# trailing batch axis is supported everywhere)
+# array-level kernels (1-D values aligned with graph vertex order)
 # ---------------------------------------------------------------------------
 
 def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
@@ -56,55 +43,25 @@ def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     return arr[g.edge_index[:, 1]] - arr[g.edge_index[:, 0]]
 
 
-def _scatter(g: WeightedGraph, idx: np.ndarray, term: np.ndarray, shape) -> np.ndarray:
-    """Deterministic accumulation of per-edge terms onto vertices.
-
-    A batch is one bincount over flattened (vertex, column) keys, so each
-    column sums in edge order exactly as its 1-D scatter would.
-    """
-    if term.ndim == 1:
-        return np.bincount(idx, weights=term, minlength=shape[0])
-    k = term.shape[1]
-    keys = (idx[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(keys, weights=term.ravel(),
-                       minlength=shape[0] * k).reshape(shape)
-
-
-def _scatter_both(g: WeightedGraph, term: np.ndarray, shape) -> np.ndarray:
-    """Accumulate the same per-edge term onto both endpoints."""
-    return (_scatter(g, g.edge_index[:, 0], term, shape)
-            + _scatter(g, g.edge_index[:, 1], term, shape))
+def _scatter(g: WeightedGraph, idx: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Deterministic accumulation of per-edge terms onto vertices, in edge order."""
+    return np.bincount(idx, weights=term, minlength=g.n_vertices)
 
 
 def gamma_arr(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma(u, v)(x) = (1 / 2 mu(x)) sum_y w_xy (u(y)-u(x)) (v(y)-v(x))."""
-    du, dv = _edge_diff(g, u), _edge_diff(g, v)
-    w = g.edge_weight
     # the product du*dv is formed first so gamma(u, v) == gamma(v, u) exactly
-    if du.ndim == 1 and dv.ndim == 1:
-        term = w * (du * dv)
-    elif du.ndim == 1:
-        term = w[:, None] * (du[:, None] * dv)
-    elif dv.ndim == 1:
-        term = w[:, None] * (dv[:, None] * du)
-    else:
-        term = w[:, None] * (du * dv)
-    if term.ndim == 1:
-        shape, mu = (g.n_vertices,), g.mu
-    else:
-        shape, mu = (g.n_vertices, term.shape[1]), g.mu[:, None]
-    return _scatter_both(g, term, shape) / (2.0 * mu)
+    term = g.edge_weight * (_edge_diff(g, u) * _edge_diff(g, v))
+    return (_scatter(g, g.edge_index[:, 0], term)
+            + _scatter(g, g.edge_index[:, 1], term)) / (2.0 * g.mu)
 
 
 def laplacian_arr(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     """Delta u(x) = (1 / mu(x)) sum_y w_xy (u(y) - u(x))."""
-    d = _edge_diff(g, arr)
-    w = g.edge_weight if arr.ndim == 1 else g.edge_weight[:, None]
-    term = w * d
-    out = (_scatter(g, g.edge_index[:, 0], term, arr.shape)
-           - _scatter(g, g.edge_index[:, 1], term, arr.shape))
-    mu = g.mu if arr.ndim == 1 else g.mu[:, None]
-    return out / mu
+    term = g.edge_weight * _edge_diff(g, arr)
+    out = (_scatter(g, g.edge_index[:, 0], term)
+           - _scatter(g, g.edge_index[:, 1], term))
+    return out / g.mu
 
 
 def iterated_laplacian_arr(g: WeightedGraph, arr: np.ndarray, k: int) -> np.ndarray:
@@ -158,12 +115,9 @@ def power_coeff(base: np.ndarray, p: float) -> np.ndarray:
 def weighted_p_lap_arr(g: WeightedGraph, arr: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """x -> (1 / 2 mu(x)) sum_y (coeff(y) + coeff(x)) w_xy (arr(y) - arr(x))."""
     ea, eb = g.edge_index[:, 0], g.edge_index[:, 1]
-    factor = (coeff[ea] + coeff[eb]) * (g.edge_weight if arr.ndim == 1
-                                        else g.edge_weight[:, None])
-    term = factor * _edge_diff(g, arr)
-    out = _scatter(g, ea, term, arr.shape) - _scatter(g, eb, term, arr.shape)
-    mu = g.mu if arr.ndim == 1 else g.mu[:, None]
-    return out / (2.0 * mu)
+    term = (coeff[ea] + coeff[eb]) * g.edge_weight * _edge_diff(g, arr)
+    out = _scatter(g, ea, term) - _scatter(g, eb, term)
+    return out / (2.0 * g.mu)
 
 
 def p_laplacian_arr(g: WeightedGraph, arr: np.ndarray, p: float) -> np.ndarray:
@@ -182,8 +136,9 @@ def signed_power(arr: np.ndarray, p: float) -> np.ndarray:
 def poly_lap_apply_arr(g: WeightedGraph, arr: np.ndarray, m: int, p: float) -> np.ndarray:
     """Pointwise L_{m,p} u through the adjoint of the weak form.
 
-    Used on the solver's hot path; agrees with the indicator extraction of
-    poly_lap_pointwise to rounding (the tests pin this).
+    Used on the solver's hot path and by the CLI's ``op poly_lap``; agrees
+    with the indicator extraction of poly_lap_pointwise to rounding (the
+    tests pin this).
     """
     m, p = _check_order(m), _check_exponent(p)
     if m % 2 == 1:
@@ -200,30 +155,24 @@ def poly_lap_apply_arr(g: WeightedGraph, arr: np.ndarray, m: int, p: float) -> n
     return iterated_laplacian_arr(g, z, m // 2)
 
 
-def poly_lap_weak_many(g: WeightedGraph, u_arr: np.ndarray, phis: np.ndarray,
-                       m: int, p: float) -> np.ndarray:
-    """Weak pairings <L_{m,p} u, phi_j> for a batch of test functions.
-
-    `phis` has shape (n_vertices, k); returns shape (k,).
-    """
+def poly_lap_weak_arr(g: WeightedGraph, u_arr: np.ndarray, phi_arr: np.ndarray,
+                      m: int, p: float) -> float:
+    """The weak pairing <L_{m,p} u, phi> of the definition."""
     m, p = _check_order(m), _check_exponent(p)
     if m % 2 == 1:
         k = (m - 1) // 2
         w = iterated_laplacian_arr(g, u_arr, k)
-        eta = iterated_laplacian_arr(g, phis, k)
+        eta = iterated_laplacian_arr(g, phi_arr, k)
         gn = grad_norm_arr(g, w)
         if np.all(gn == 0.0):
-            return np.zeros(phis.shape[1])
-        coeff = power_coeff(gn, p)
-        gam = gamma_arr(g, w, eta)
-        return (g.mu * coeff) @ gam
+            return 0.0
+        return float((g.mu * power_coeff(gn, p)) @ gamma_arr(g, w, eta))
     k = m // 2
     w = iterated_laplacian_arr(g, u_arr, k)
-    z = iterated_laplacian_arr(g, phis, k)
+    z = iterated_laplacian_arr(g, phi_arr, k)
     if np.all(w == 0.0):
-        return np.zeros(phis.shape[1])
-    coeff = power_coeff(np.abs(w), p)
-    return (g.mu * coeff * w) @ z
+        return 0.0
+    return float((g.mu * power_coeff(np.abs(w), p) * w) @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +213,7 @@ def poly_lap_weak(g: WeightedGraph, u: VertexFunction, phi: VertexFunction,
                   m: int, p: float) -> float:
     """The weak pairing <L_{m,p} u, phi> against a single test function."""
     check_domain(g, u, phi)
-    return float(poly_lap_weak_many(g, u.values, phi.values[:, None], m, p)[0])
+    return poly_lap_weak_arr(g, u.values, phi.values, m, p)
 
 
 def poly_lap_pointwise(g: WeightedGraph, u: VertexFunction, m: int, p: float) -> VertexFunction:
@@ -272,11 +221,12 @@ def poly_lap_pointwise(g: WeightedGraph, u: VertexFunction, m: int, p: float) ->
 
     The value at x is the weak pairing against the indicator of x divided by
     mu(x); indicators span all vertex functions, so this is the unique
-    function reproducing the weak form.
+    function reproducing the weak form.  It makes one pairing per vertex and
+    is the reference for poly_lap_apply_arr.
     """
     check_domain(g, u)
-    indicators = np.eye(g.n_vertices)
-    pairings = poly_lap_weak_many(g, u.values, indicators, m, p)
+    pairings = np.array([poly_lap_weak_arr(g, u.values, e, m, p)
+                         for e in np.eye(g.n_vertices)])
     return VertexFunction(g, pairings / g.mu)
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import calculus
 from .errors import GraphVarError, BadParam, IoError, ParseError
-from .graph import build_graph, function_from_doc, function_to_doc, integrate
+from .graph import (VertexFunction, build_graph, function_from_doc, function_to_doc,
+                    integrate)
 from .intervals import interval_finite, interval_locally_finite
 from .problems import PreparedProblem, builtin_problem, problem_from_doc
 from .solver import OUTCOMES, SolutionSet, SolverConfig, find_three, solution_set_to_json
@@ -111,8 +112,6 @@ def cmd_op(args) -> int:
     g = build_graph(_read_json(args.graph))
     u = function_from_doc(g, _read_json(args.u))
     name = args.name
-    if name in ("m_grad_norm", "p_laplacian", "poly_lap"):
-        calculus.OperatorRequest(args.m, args.p)  # validate the pair up front
     scalar = None
     if name == "laplacian":
         out = calculus.laplacian(g, u)
@@ -123,7 +122,7 @@ def cmd_op(args) -> int:
     elif name == "p_laplacian":
         out = calculus.p_laplacian(g, u, args.p)
     elif name == "poly_lap":
-        out = calculus.poly_lap_pointwise(g, u, args.m, args.p)
+        out = VertexFunction(g, calculus.poly_lap_apply_arr(g, u.values, args.m, args.p))
     elif name == "gamma":
         if not args.v:
             raise BadParam("gamma needs a second function via --v")

@@ -154,11 +154,13 @@ def problem_from_doc(doc: dict) -> PreparedProblem:
                       if "gamma1" in doc else ())
             deltas = (tuple(float(doc[k]) for k in ("delta1", "delta2"))
                       if "delta1" in doc else ())
+        return PreparedProblem(
+            key=doc.get("name", "custom"), problem=prob, mode=mode,
+            gammas=gammas, deltas=deltas,
+            x0=str(doc["x0"]) if "x0" in doc else None,
+            h0=float(doc["h0"]) if "h0" in doc else None,
+            mu0=float(doc["mu0"]) if "mu0" in doc else None)
     except KeyError as exc:
         raise BadParam(f"problem document is missing {exc}") from exc
-    return PreparedProblem(
-        key=doc.get("name", "custom"), problem=prob, mode=mode,
-        gammas=gammas, deltas=deltas,
-        x0=doc.get("x0"),
-        h0=float(doc["h0"]) if "h0" in doc else None,
-        mu0=float(doc["mu0"]) if "mu0" in doc else None)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise BadParam(f"malformed problem document: {exc}") from exc

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 import graphvar as gv
-from graphvar.calculus import _scatter, poly_lap_apply_arr, poly_lap_weak_many
+from graphvar.calculus import poly_lap_apply_arr
 from graphvar.errors import BadParam, DomainMismatch, RegularizationWarning
 
 from conftest import (
@@ -269,34 +269,6 @@ def test_adjoint_apply_matches_indicator_extraction(g, seed):
             assert np.all(np.abs(fast - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_weak_many_batches_match_single():
-    rng = np.random.default_rng(21)
-    g = random_graph(rng, n_min=4)
-    u = random_vf(rng, g)
-    phis = rng.uniform(-1, 1, (g.n_vertices, 3))
-    batch = poly_lap_weak_many(g, u.values, phis, 2, 3.0)
-    for j in range(3):
-        single = gv.poly_lap_weak(g, u, gv.VertexFunction(g, phis[:, j]), 2, 3.0)
-        assert rel_close(float(batch[j]), single, 1e-12)
-
-
-def test_batched_kernels_match_stacked_columns_bitwise():
-    rng = np.random.default_rng(22)
-    g = random_graph(rng, n_min=5)
-    arr = rng.uniform(-1, 1, (g.n_vertices, 4))
-    idx = g.edge_index[:, 0]
-    term = rng.uniform(-1, 1, (g.n_edges, 4))
-    batch = _scatter(g, idx, term, arr.shape)
-    stacked = np.stack([_scatter(g, idx, term[:, j], arr.shape[:1])
-                        for j in range(4)], axis=1)
-    assert batch.tobytes() == stacked.tobytes()
-    for m in (1, 2, 3):
-        batch = poly_lap_apply_arr(g, arr, m, 3.0)
-        stacked = np.stack([poly_lap_apply_arr(g, arr[:, j], m, 3.0)
-                            for j in range(4)], axis=1)
-        assert batch.tobytes() == stacked.tobytes()
-
-
 def test_lr_norm_examples(p2, step):
     assert gv.lr_norm(p2, gv.VertexFunction.zeros(p2), 2.0) == 0.0
     assert gv.lr_norm(p2, step, 2.0) == 1.0
@@ -320,11 +292,8 @@ def test_bad_exponent_rejected(p2, step):
         gv.poly_lap_weak(p2, step, step, 1, 0.5)
 
 
-def test_operator_request_validates():
-    from graphvar.calculus import OperatorRequest
-    req = OperatorRequest(2, 3.0)
-    assert req.m == 2 and req.p == 3.0
+def test_operator_request_validates(p2, step):
     with pytest.raises(BadParam):
-        OperatorRequest(0, 2.0)
+        gv.m_grad_norm(p2, step, 0)
     with pytest.raises(BadParam):
-        OperatorRequest(1, 1.0)
+        gv.poly_lap_weak(p2, step, step, 0, 2.0)

@@ -2,9 +2,15 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import graphvar as gv
 from graphvar import solver
+from graphvar.calculus import poly_lap_apply_arr
 from graphvar.cli import build_parser, main
+from graphvar.graph import function_from_doc, function_to_doc
+from graphvar.nonlinearity import nonlinearity_to_doc
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -268,6 +274,76 @@ def test_op_validates_order_exponent_pair(tmp_path):
     upath.write_text(json.dumps({"values": {"a": 0.0, "b": 1.0}}))
     assert main(["op", "poly_lap", "--graph", gpath, "--u", str(upath),
                  "--m", "0", "--p", "2.0"]) == 2
+
+
+def test_op_reads_only_its_own_parameters(tmp_path):
+    # m_grad_norm ignores p and p_laplacian ignores m
+    gpath = write_graph(tmp_path, GOOD)
+    upath = tmp_path / "u.json"
+    upath.write_text(json.dumps({"values": {"a": 0.0, "b": 1.0}}))
+    assert main(["op", "m_grad_norm", "--graph", gpath, "--u", str(upath),
+                 "--m", "2", "--p", "1"]) == 0
+    assert main(["op", "p_laplacian", "--graph", gpath, "--u", str(upath),
+                 "--m", "0", "--p", "3"]) == 0
+
+
+def test_op_poly_lap_writes_the_adjoint_values(tmp_path):
+    g = gv.lattice_ball(2)
+    gpath = tmp_path / "g.json"
+    gv.save_graph(g, str(gpath))
+    u = gv.VertexFunction(g, np.random.default_rng(7).uniform(-1, 1, g.n_vertices))
+    upath = tmp_path / "u.json"
+    upath.write_text(json.dumps(function_to_doc(u)))
+    out = tmp_path / "out.json"
+    for m in (1, 2, 3):
+        assert main(["op", "poly_lap", "--graph", str(gpath), "--u", str(upath),
+                     "--m", str(m), "--p", "3", "-o", str(out)]) == 0
+        written = function_from_doc(g, json.loads(out.read_text())).values
+        assert written.tobytes() == poly_lap_apply_arr(g, u.values, m, 3.0).tobytes()
+        ref = gv.poly_lap_pointwise(g, u, m, 3.0).values
+        assert np.all(np.abs(written - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+def _coupled_problem_doc():
+    prep = gv.builtin_problem("example-6.1")
+    prob = prep.problem
+    return {
+        "name": "coupled", "mode": "finite", "graph": {"builtin": "grid3x3"},
+        "nonlinearity": nonlinearity_to_doc(prob.nonlinearity),
+        "m1": 2, "m2": 2, "p": 2.0, "q": 3.0,
+        "h1": {"const": 9.0}, "h2": {"const": 9.0},
+        "gamma1": prep.gammas[0], "gamma2": prep.gammas[1],
+        "delta1": prep.deltas[0], "delta2": prep.deltas[1],
+    }
+
+
+def _scalar_problem_doc():
+    x0 = gv.lattice_ball_center(1)
+    return {
+        "name": "scalar", "mode": "locally_finite",
+        "graph": {"builtin": "lattice_ball", "params": {"radius": 1}},
+        "m": 1, "p": 3.0, "h": {"const": 4.0},
+        "nonlinearity": {"builtin": "example_6_2",
+                         "params": {"omega": 4.0 ** (1.0 / 3.0), "r": 5.0,
+                                    "support": x0}},
+        "gamma": (16.0 / 3.0) ** (1.0 / 3.0), "delta": 6.0 * 4.0 ** (1.0 / 3.0),
+        "x0": x0, "h0": 4.0, "mu0": 1.0,
+    }
+
+
+@pytest.mark.parametrize("make_doc", [_coupled_problem_doc, _scalar_problem_doc])
+def test_malformed_problem_fields_exit_with_a_code(tmp_path, make_doc):
+    # every top-level field replaced by a value of the wrong type or range
+    # ends in a report or a validation error, never in an uncaught exception
+    good = make_doc()
+    ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"
+    ppath.write_text(json.dumps(good))
+    assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 0
+    for field in good:
+        for bad in (None, "x", [], {}, -1, True):
+            ppath.write_text(json.dumps({**good, field: bad}))
+            code = main(["interval", "--problem", str(ppath), "-o", str(out)])
+            assert code in (0, 2, 3), (field, bad)
 
 
 def test_readme_command_examples_parse():
