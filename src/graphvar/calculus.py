@@ -18,8 +18,10 @@ Exponents p in (1, 2) make coefficients |grad u|^(p-2) singular where the
 gradient vanishes.  Vanishing entries are replaced by (|grad u| + 1e-12)^(p-2)
 and a RegularizationWarning is emitted; exact-constant inputs short-circuit
 to zero output.  Every neighbor sum runs in the deterministic edge order of
-the graph, fully in 64-bit floats.  The array kernels take one 1-D array of
-vertex values per argument.
+the graph, fully in 64-bit floats.  The array kernels take 1-D arrays of
+vertex values, or (n_vertices, k) batches whose k columns are independent
+inputs; column j of a batched result equals, bit for bit, the 1-D result on
+column j.
 """
 
 from __future__ import annotations
@@ -35,8 +37,14 @@ EPS_REG = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# array-level kernels (1-D values aligned with graph vertex order)
+# array-level kernels (values aligned with graph vertex order, with an
+# optional trailing column axis)
 # ---------------------------------------------------------------------------
+
+def _along(vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """A per-vertex or per-edge vector shaped to scale the rows of arr."""
+    return vec if arr.ndim == 1 else vec[:, None]
+
 
 def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     """Per-edge difference arr[b] - arr[a]."""
@@ -44,24 +52,41 @@ def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
 
 
 def _scatter(g: WeightedGraph, idx: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Deterministic accumulation of per-edge terms onto vertices, in edge order."""
-    return np.bincount(idx, weights=term, minlength=g.n_vertices)
+    """Deterministic accumulation of per-edge terms onto vertices, in edge order.
+
+    A batch is one bincount over flattened (vertex, column) keys, so each
+    column sums in edge order exactly as its 1-D scatter would.
+    """
+    if term.ndim == 1:
+        return np.bincount(idx, weights=term, minlength=g.n_vertices)
+    k = term.shape[1]
+    keys = (idx[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(keys, weights=term.ravel(),
+                       minlength=g.n_vertices * k).reshape(g.n_vertices, k)
+
+
+def _on_live(fn, arr: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """fn on the columns of a batch that are not `dead`, and +0.0 in the
+    dead ones: the batched form of a 1-D kernel's zero short-circuit."""
+    out = np.zeros_like(arr)
+    out[:, ~dead] = fn(arr[:, ~dead])
+    return out
 
 
 def gamma_arr(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma(u, v)(x) = (1 / 2 mu(x)) sum_y w_xy (u(y)-u(x)) (v(y)-v(x))."""
     # the product du*dv is formed first so gamma(u, v) == gamma(v, u) exactly
-    term = g.edge_weight * (_edge_diff(g, u) * _edge_diff(g, v))
+    term = _along(g.edge_weight, u) * (_edge_diff(g, u) * _edge_diff(g, v))
     return (_scatter(g, g.edge_index[:, 0], term)
-            + _scatter(g, g.edge_index[:, 1], term)) / (2.0 * g.mu)
+            + _scatter(g, g.edge_index[:, 1], term)) / (2.0 * _along(g.mu, u))
 
 
 def laplacian_arr(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     """Delta u(x) = (1 / mu(x)) sum_y w_xy (u(y) - u(x))."""
-    term = g.edge_weight * _edge_diff(g, arr)
+    term = _along(g.edge_weight, arr) * _edge_diff(g, arr)
     out = (_scatter(g, g.edge_index[:, 0], term)
            - _scatter(g, g.edge_index[:, 1], term))
-    return out / g.mu
+    return out / _along(g.mu, arr)
 
 
 def iterated_laplacian_arr(g: WeightedGraph, arr: np.ndarray, k: int) -> np.ndarray:
@@ -115,15 +140,18 @@ def power_coeff(base: np.ndarray, p: float) -> np.ndarray:
 def weighted_p_lap_arr(g: WeightedGraph, arr: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """x -> (1 / 2 mu(x)) sum_y (coeff(y) + coeff(x)) w_xy (arr(y) - arr(x))."""
     ea, eb = g.edge_index[:, 0], g.edge_index[:, 1]
-    term = (coeff[ea] + coeff[eb]) * g.edge_weight * _edge_diff(g, arr)
+    term = (coeff[ea] + coeff[eb]) * _along(g.edge_weight, arr) * _edge_diff(g, arr)
     out = _scatter(g, ea, term) - _scatter(g, eb, term)
-    return out / (2.0 * g.mu)
+    return out / (2.0 * _along(g.mu, arr))
 
 
 def p_laplacian_arr(g: WeightedGraph, arr: np.ndarray, p: float) -> np.ndarray:
     p = _check_exponent(p)
-    if np.all(_edge_diff(g, arr) == 0.0):
+    dead = np.all(_edge_diff(g, arr) == 0.0, axis=0)
+    if np.all(dead):
         return np.zeros_like(arr)
+    if np.any(dead):
+        return _on_live(lambda a: p_laplacian_arr(g, a, p), arr, dead)
     gn = grad_norm_arr(g, arr)
     return weighted_p_lap_arr(g, arr, power_coeff(gn, p))
 
@@ -144,13 +172,17 @@ def poly_lap_apply_arr(g: WeightedGraph, arr: np.ndarray, m: int, p: float) -> n
     if m % 2 == 1:
         w = iterated_laplacian_arr(g, arr, (m - 1) // 2)
         gn = grad_norm_arr(g, w)
-        if np.all(gn == 0.0):
-            return np.zeros_like(arr)
+        dead = np.all(gn == 0.0, axis=0)
+    else:
+        w = iterated_laplacian_arr(g, arr, m // 2)
+        dead = np.all(w == 0.0, axis=0)
+    if np.all(dead):
+        return np.zeros_like(arr)
+    if np.any(dead):
+        return _on_live(lambda a: poly_lap_apply_arr(g, a, m, p), arr, dead)
+    if m % 2 == 1:
         inner = weighted_p_lap_arr(g, w, power_coeff(gn, p))
         return -iterated_laplacian_arr(g, inner, (m - 1) // 2)
-    w = iterated_laplacian_arr(g, arr, m // 2)
-    if np.all(w == 0.0):
-        return np.zeros_like(arr)
     z = power_coeff(np.abs(w), p) * w
     return iterated_laplacian_arr(g, z, m // 2)
 

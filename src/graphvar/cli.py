@@ -24,6 +24,7 @@ import numpy as np
 
 from . import calculus
 from .errors import GraphVarError, BadParam, IoError, ParseError
+from .functionals import Problem
 from .graph import (VertexFunction, build_graph, function_from_doc, function_to_doc,
                     integrate)
 from .intervals import interval_finite, interval_locally_finite
@@ -192,16 +193,26 @@ def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float]]:
     return cfg, (1.0 + max(prep.deltas) if prep.deltas else None)
 
 
-def _outcome_stats(sset: SolutionSet) -> dict:
+def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
     """How the starts and the deflation attempts of a solve ended, counted
-    per outcome; a diverged start also adds a note on the labels."""
+    per outcome.  A note says that minimizer labels are local when a start
+    diverged or when the model's growth exponents are not below the
+    component exponents, so the action need not be bounded below."""
     stats = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
     for phase, _, outcome, _ in sset.outcomes:
         stats[phase][outcome] += 1
-    diverged = stats["start"]["diverged"]
-    if diverged:
-        stats["note"] = (f"{diverged} start(s) diverged, so the action is unbounded "
-                         "below: \"minimizer\" labels are local")
+    reasons = []
+    if stats["start"]["diverged"]:
+        reasons.append(f"{stats['start']['diverged']} start(s) diverged, so the "
+                       "action is unbounded below")
+    growth, exps = prob.nonlinearity.growth, prob.solver_exponents
+    if growth is not None:
+        rates = (growth.alpha, growth.beta)[:len(exps)]
+        if any(a >= e for a, e in zip(rates, exps)):
+            reasons.append(f"growth exponents {rates} are not all below the "
+                           f"exponents {exps}, so the action need not be bounded below")
+    if reasons:
+        stats["note"] = "; ".join(reasons) + ": \"minimizer\" labels are local"
     return stats
 
 
@@ -215,7 +226,7 @@ def cmd_solve(args) -> int:
               "grad_tol": cfg.grad_tol, "distinct_tol": cfg.distinct_tol,
               "expect_three": bool(args.expect_three)}
     _write_manifest(args.out, "solve", inputs, config, seed=cfg.seed,
-                    stats=_outcome_stats(sset))
+                    stats=_outcome_stats(prep.problem, sset))
 
     print(f"lambda = {sset.lam:g}: {len(sset.points)} distinct critical point(s)")
     print(f"{'#':>2}  {'action':>18}  {'residual':>12}  {'kind':<12} nontrivial")
@@ -239,7 +250,7 @@ def cmd_sweep(args) -> int:
     rows, stats = [], []
     for lam in lams:
         sset = find_three(prep.problem, float(lam), cfg, start_radius=radius)
-        stats.append({"lambda": float(lam), **_outcome_stats(sset)})
+        stats.append({"lambda": float(lam), **_outcome_stats(prep.problem, sset)})
         actions = [p.action_value for p in sset.points]
         residuals = [p.residual_sup for p in sset.points]
         rows.append({

@@ -23,7 +23,10 @@ consistent.
 A problem also exposes a flat-vector view (pack/unpack, action, euclidean
 gradient) used by the numerical solver: component i occupies entries
 [i n, (i + 1) n) of the vector.  Euclidean gradients carry the vertex
-measure, pointwise residuals do not.
+measure, pointwise residuals do not.  The vector methods also take a batch
+of k states as the columns of an (n_dofs, k) array and then return k
+values, or an (n_dofs, k) array; column j equals, bit for bit, the call on
+column j alone.
 """
 
 from __future__ import annotations
@@ -33,23 +36,32 @@ from typing import Union
 
 import numpy as np
 
-from .calculus import m_grad_norm_arr, poly_lap_apply_arr, signed_power
+from .calculus import _along, m_grad_norm_arr, poly_lap_apply_arr, signed_power
 from .errors import BadParam
 from .graph import VertexFunction, WeightedGraph, check_domain
 from .nonlinearity import NonlinearityModel
 from .sobolev import SobolevSpec
 
 
+def _integrate(g: WeightedGraph, vals: np.ndarray):
+    """sum_x mu(x) vals(x): a float, or one per column of a batch.  Each
+    column is a 1-D dot on a contiguous copy; a matrix product or a strided
+    dot sums in another order."""
+    if vals.ndim == 1:
+        return float(np.dot(g.mu, vals))
+    return np.array([np.dot(g.mu, col) for col in np.ascontiguousarray(vals.T)])
+
+
 def _w_power_arr(g: WeightedGraph, arr: np.ndarray, m: int, l: float,
-                 h_arr: np.ndarray) -> float:
+                 h_arr: np.ndarray):
     gn = m_grad_norm_arr(g, arr, m)
-    return float(np.dot(g.mu, gn ** l + h_arr * np.abs(arr) ** l))
+    return _integrate(g, gn ** l + _along(h_arr, arr) * np.abs(arr) ** l)
 
 
 def _phi_grad_arr(g: WeightedGraph, arr: np.ndarray, m: int, l: float,
                   h_arr: np.ndarray) -> np.ndarray:
     """Pointwise representative of the derivative of (1/l) ||.||^l_{W^{m,l}}."""
-    return poly_lap_apply_arr(g, arr, m, l) + h_arr * signed_power(arr, l)
+    return poly_lap_apply_arr(g, arr, m, l) + _along(h_arr, arr) * signed_power(arr, l)
 
 
 @dataclass
@@ -112,14 +124,14 @@ class Problem:
         n = self.graph.n_vertices
         return z[:n], z[n:]
 
-    def action_vec(self, lam: float, z: np.ndarray) -> float:
+    def action_vec(self, lam: float, z: np.ndarray):
         """The action at z; lam = 0 gives sum_i (1/l_i) ||u_i||^{l_i}."""
         g = self.graph
         val = 0.0
         for sl, m, l, h in self._blocks:
             val += _w_power_arr(g, z[sl], m, l, h) / l
         if lam != 0.0:
-            val -= lam * float(np.dot(g.mu, self.nonlinearity.F_on(g, *self._slots(z))))
+            val -= lam * _integrate(g, self.nonlinearity.F_on(g, *self._slots(z)))
         return val
 
     def residual_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
@@ -135,13 +147,19 @@ class Problem:
 
     def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
         """Euclidean gradient of action_vec: the residual weighted by mu."""
-        return self.mu_dofs * self.residual_vec(lam, z)
+        return _along(self.mu_dofs, z) * self.residual_vec(lam, z)
 
-    def wnorm_vec(self, z: np.ndarray) -> float:
+    def wnorm_vec(self, z: np.ndarray):
         """Product-space norm: the sum of the components' W-norms."""
         g = self.graph
-        return sum(_w_power_arr(g, z[sl], m, l, h) ** (1.0 / l)
-                   for sl, m, l, h in self._blocks)
+        powers = [_w_power_arr(g, z[sl], m, l, h) for sl, m, l, h in self._blocks]
+        roots = [1.0 / l for _, _, l, _ in self._blocks]
+        if z.ndim == 1:
+            return sum(w ** r for w, r in zip(powers, roots))
+        # the roots stay Python-float powers, which NumPy's array ** does
+        # not match in the last bit
+        return np.array([sum(w ** r for w, r in zip(col, roots))
+                         for col in zip(*(w.tolist() for w in powers))])
 
     @property
     def start_scale(self) -> float:

@@ -13,8 +13,8 @@ A model either looks the same from every vertex (``support is None``, the
 finite case of example 6.1) or vanishes off the single vertex ``support``
 (the locally finite case of example 6.2, whose radial envelope a bounds |F|
 there with b the indicator of that vertex).  ``F_on`` / ``Fs_on`` /
-``Ft_on`` evaluate a model at every vertex of a graph; that is the only
-vertex-aware path.
+``Ft_on`` evaluate a model at every vertex of a graph, on 1-D vertex
+values or on (n_vertices, k) batches; that is the only vertex-aware path.
 """
 
 from __future__ import annotations
@@ -85,9 +85,12 @@ class NonlinearityModel:
     def _on(self, g: WeightedGraph, fn: Evaluator, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.support is None:
             return fn(u, v)
-        out = np.zeros(g.n_vertices)
+        out = np.zeros(u.shape)
         i = g.index(self.support)
-        out[i] = fn(u[i], v[i])
+        if u.ndim == 1:
+            out[i] = fn(u[i], v[i])
+        else:  # one scalar call per column, as the 1-D path makes
+            out[i] = [fn(a, b) for a, b in zip(u[i], v[i])]
         return out
 
     def F_on(self, g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ tolerance.  Every Newton Jacobian and Hessian is a compressed central
 difference: a residual row depends only on coordinates within m hops of its
 vertex (m + 1 for odd m), so columns that share no row are perturbed
 together, one greedy colour group per residual pair, with the same values
-as one column at a time.  Additional critical points, including saddle-type ones, come
+as one column at a time; all pairs of a build are one batched residual
+call.  Additional critical points, including saddle-type ones, come
 from Newton iterations on the deflated residual
 
     R(z) = G(z) * prod_k (1 / ||z - z_k||^2 + 1),
@@ -39,8 +40,10 @@ A cut start would have ended unaccepted, so the points found are the same.
 OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
 
 Reproducibility: start k draws its coordinates from a counter-based
-generator keyed by (seed, k), and starts run one after another in index
-order.
+generator keyed by (seed, k).  The starts descend in lockstep as the
+columns of batched evaluations, which equal the one-column ones bit for
+bit, and resolve in index order, so the results are those of running them
+one after another (see _multistart).
 
 Exponents below 2 are rejected (the zero-order term |s|^(p-2) s is not
 Lipschitz there); interval computations alone support the full range.
@@ -89,6 +92,8 @@ class SolverConfig:
             raise BadParam("tolerances must be positive")
         if self.max_iters < 1:
             raise BadParam(f"max_iters must be >= 1, got {self.max_iters}")
+        if not 0 <= self.seed < 2 ** 128:  # the key range of the start generator
+            raise BadParam(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 @dataclass
@@ -219,14 +224,18 @@ def _fd_jacobian(fn, z: np.ndarray, h: float, groups: _Groups) -> np.ndarray:
     """Central-difference Jacobian of a vector map, compressed by column
     groups (Curtis, Powell & Reid 1974): no two columns of a group share a
     row, so one residual pair per group recovers all of its columns, bit for
-    bit as if each were perturbed alone."""
+    bit as if each were perturbed alone.  `fn` takes every pair at once, as
+    the columns of one batch."""
+    k = len(groups)
+    batch = np.repeat(z[:, None], 2 * k, axis=1)
+    for c, (cols, _, _) in enumerate(groups):
+        batch[cols, c] += h
+        batch[cols, k + c] -= h
+    vals = fn(batch)
+    diff = (vals[:, :k] - vals[:, k:]) / (2.0 * h)
     jac = np.zeros((len(z), len(z)))
-    for cols, rows, entry_cols in groups:
-        zp, zm = z.copy(), z.copy()
-        zp[cols] += h
-        zm[cols] -= h
-        diff = (fn(zp) - fn(zm)) / (2.0 * h)
-        jac[rows, entry_cols] = diff[rows]
+    for c, (_, rows, entry_cols) in enumerate(groups):
+        jac[rows, entry_cols] = diff[rows, c]
     return jac
 
 
@@ -283,11 +292,128 @@ def _newton_outcome(rsup: float, iters: int, cap: int, tol: float) -> str:
 
 DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polish
 
+# A ball (centre, radius, action) around a nontrivial accepted point.
+_Ball = tuple[np.ndarray, float, float]
+
+
+@dataclass
+class _Column:
+    """One descent between lockstep steps.  `stop` stays None while it
+    runs, then names how it ended: "polish" (hand over to Newton),
+    "captured" or "diverged"."""
+
+    z: np.ndarray
+    action: float
+    iters: int = 0
+    t_warm: float = 1.0
+    prev_z: Optional[np.ndarray] = None
+    prev_grad: Optional[np.ndarray] = None
+    stop: Optional[str] = None
+
+
+def _columns(batch: np.ndarray) -> np.ndarray:
+    """The columns of a batch as contiguous rows, so that a reduction on one
+    is bit for bit the 1-D one."""
+    return np.ascontiguousarray(batch.T)
+
+
+def _launch(prob: Problem, lam: float, starts: Sequence[np.ndarray]) -> list[_Column]:
+    zs = [np.asarray(z0, dtype=float).copy() for z0 in starts]
+    actions = prob.action_vec(lam, np.stack(zs, axis=1))
+    return [_Column(z, float(a)) for z, a in zip(zs, actions)]
+
+
+def _start_bound(prob: Problem) -> float:
+    return min(DIVERGE_NORM, DIVERGE_SCALE * (1.0 + prob.start_scale))
+
+
+def _capture_balls(prob: Problem, accepted: Iterable[_RawPoint]) -> list[_Ball]:
+    return [(a.z, CAPTURE_REL * r, a.action) for a in accepted
+            if (r := prob.wnorm_vec(a.z)) > 0.0]
+
+
+def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
+                  balls: Sequence[_Ball], bound: float, budget: int) -> None:
+    """One iteration of every running column, in lockstep.
+
+    Per column this is gradient descent with Armijo backtracking (halving),
+    a Barzilai-Borwein guess seeding each line search; the residuals of all
+    columns are one batched call, and so is each round of trial actions.
+    A column stops for Newton at the budget, once its residual is below
+    NEWTON_SWITCH or when its line search stalls; it stops "captured" or
+    "diverged" by the early exits of the module docstring.
+    """
+    mu = prob.mu_dofs
+    run = [c for c in cols if c.stop is None]
+    for c in run:
+        if c.iters >= budget:
+            c.stop = "polish"
+    for zk, radius, act in balls:
+        near = [c for c in run if c.stop is None and c.action > act]
+        if near:
+            dists = prob.wnorm_vec(np.stack([c.z - zk for c in near], axis=1))
+            for c, dist in zip(near, dists):
+                if dist < radius:
+                    c.stop = "captured"
+    run = [c for c in run if c.stop is None]
+    if not run:
+        return
+    search = []
+    residuals = prob.residual_vec(lam, np.stack([c.z for c in run], axis=1))
+    for c, res in zip(run, _columns(residuals)):
+        if _sup(res) < NEWTON_SWITCH:
+            c.stop = "polish"
+            continue
+        grad = mu * res
+        gg = float(np.dot(grad, grad))
+        t = min(2.0 * c.t_warm, 1e6)
+        if c.prev_grad is not None:
+            dg = grad - c.prev_grad
+            dgg = float(np.dot(dg, dg))
+            if dgg > 0.0:
+                bb = float(np.dot(c.z - c.prev_z, dg)) / dgg
+                if np.isfinite(bb) and bb > 0.0:
+                    t = min(bb, 1e6)
+        search.append((c, grad, gg, t))
+    while search:
+        for c, _, _, t in search:
+            if t <= 1e-17:
+                c.stop = "polish"  # stalled line search; give Newton a chance
+        search = [s for s in search if s[0].stop is None]
+        if not search:
+            break
+        cands = [c.z - t * grad for c, grad, _, t in search]
+        trials = prob.action_vec(lam, np.stack(cands, axis=1))
+        retry = []
+        for (c, grad, gg, t), cand, c_val in zip(search, cands, trials):
+            c_val = float(c_val)
+            if not (np.isfinite(c_val) and c_val <= c.action - ARMIJO_C * t * gg):
+                retry.append((c, grad, gg, 0.5 * t))
+                continue
+            c.prev_z, c.prev_grad = c.z, grad
+            c.z, c.action, c.t_warm = cand, c_val, t
+            c.iters += 1
+            if c_val < DIVERGE_ACTION or float(np.max(np.abs(cand))) > bound:
+                c.stop = "diverged"
+        search = retry
+
+
+def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
+            groups: _Groups) -> _RawPoint:
+    """The point a stopped descent ends at: polished by Newton, or as it
+    stopped (its residual not evaluated)."""
+    if col.stop == "polish":
+        return _newton_polish(prob, lam, col.z, cfg, col.iters, groups)
+    if col.stop == "diverged":
+        return _diverged(col.z, col.action, np.inf, col.iters)
+    return _RawPoint(z=col.z, action=col.action, residual_sup=np.inf,
+                     iterations=col.iters, converged=False, outcome="captured")
+
 
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
                 groups: _Groups, accepted: Optional[Sequence[_RawPoint]] = None
                 ) -> _RawPoint:
-    """Descend from z0, then polish with Newton.
+    """Descend from z0, then polish with Newton: _descent_step on one column.
 
     The multistart phase passes the points it has accepted so far, which
     turns on its two early exits (see the module docstring): "diverged" past
@@ -295,58 +421,15 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
     ball of relative radius CAPTURE_REL around a nontrivial accepted point
     while the action is still above that point's.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    mu = prob.mu_dofs
-    iters = 0
-    t_warm = 1.0
-    prev_z = None
-    prev_grad = None
-    budget = min(cfg.max_iters, DESCENT_BUDGET)
-    bound = DIVERGE_NORM
-    balls = []
+    bound, balls = DIVERGE_NORM, []
     if accepted is not None:
-        bound = min(bound, DIVERGE_SCALE * (1.0 + prob.start_scale))
-        balls = [(a.z, CAPTURE_REL * r, a.action) for a in accepted
-                 if (r := prob.wnorm_vec(a.z)) > 0.0]
+        bound, balls = _start_bound(prob), _capture_balls(prob, accepted)
+    budget = min(cfg.max_iters, DESCENT_BUDGET)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_val = prob.action_vec(lam, z)
-        # phase 1: gradient descent, Armijo backtracking (halving), with a
-        # Barzilai-Borwein guess seeding each line search
-        while iters < budget:
-            if any(a_val > act and prob.wnorm_vec(z - zk) < radius
-                   for zk, radius, act in balls):
-                return _RawPoint(z=z, action=a_val, residual_sup=np.inf,  # not evaluated
-                                 iterations=iters, converged=False, outcome="captured")
-            res = prob.residual_vec(lam, z)
-            rsup = _sup(res)
-            if rsup < NEWTON_SWITCH:
-                break
-            grad = mu * res
-            gg = float(np.dot(grad, grad))
-            t = min(2.0 * t_warm, 1e6)
-            if prev_grad is not None:
-                dg = grad - prev_grad
-                dgg = float(np.dot(dg, dg))
-                if dgg > 0.0:
-                    bb = float(np.dot(z - prev_z, dg)) / dgg
-                    if np.isfinite(bb) and bb > 0.0:
-                        t = min(bb, 1e6)
-            accepted = False
-            while t > 1e-17:
-                cand = z - t * grad
-                c_val = prob.action_vec(lam, cand)
-                if np.isfinite(c_val) and c_val <= a_val - ARMIJO_C * t * gg:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break  # stalled line search; give Newton a chance
-            prev_z, prev_grad = z, grad
-            z, a_val, t_warm = cand, c_val, t
-            iters += 1
-            if a_val < DIVERGE_ACTION or float(np.max(np.abs(z))) > bound:
-                return _diverged(z, a_val, np.inf, iters)  # residual not evaluated
-        return _newton_polish(prob, lam, z, cfg, iters, groups)
+        col, = _launch(prob, lam, [z0])
+        while col.stop is None:
+            _descent_step(prob, lam, [col], balls, bound, budget)
+        return _finish(prob, lam, col, cfg, groups)
 
 
 def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
@@ -530,6 +613,46 @@ def _perturbation(cfg: SolverConfig, attempt: int, size: int, radius: float) -> 
     return gen.uniform(-radius, radius, size)
 
 
+def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
+                radius: float, accepted: list[_RawPoint], accept) -> None:
+    """Descend from starts 0..cfg.starts (index 0 is the deterministic origin
+    start) and pass each result to `accept` in index order; `accepted`
+    holds the points accepted so far.
+
+    The results are those of running `_minimize_z` on one start after
+    another.  The launched descents step together in lockstep, and start i
+    resolves, by its Newton polish and acceptance, only after every start
+    before it.  A resolution that adds a capture ball relaunches every later
+    start from its start vector, as the serial loop would have tested it
+    against that ball from its first iteration.  The window of launched
+    starts doubles with each resolution that adds no ball and drops to one
+    when a ball is added; it sets only how much work is speculative.
+    """
+    bound = _start_bound(prob)
+    budget = min(cfg.max_iters, DESCENT_BUDGET)
+    balls = _capture_balls(prob, accepted)
+    cols: list[_Column] = []  # the launched descents of starts lo, lo + 1, ...
+    lo, window = 0, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo <= cfg.starts:
+            pending = range(lo + len(cols), min(lo + window, cfg.starts + 1))
+            if pending:
+                cols += _launch(prob, lam, [_start_vector(prob, cfg, i, radius)
+                                            for i in pending])
+            if cols[0].stop is None:
+                _descent_step(prob, lam, cols, balls, bound, budget)
+                continue
+            known = len(accepted)
+            accept("start", lo, _finish(prob, lam, cols.pop(0), cfg, groups))
+            lo += 1
+            added = _capture_balls(prob, accepted[known:])
+            if added:
+                balls += added
+                cols, window = [], 1
+            else:
+                window *= 2
+
+
 def find_three(prob: Problem, lam: float, cfg: SolverConfig,
                start_radius: Optional[float] = None) -> SolutionSet:
     """Multistart minimization plus deflation until three distinct critical
@@ -555,9 +678,7 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
                 raw.outcome = "duplicate"
         outcomes.append((phase, index, raw.outcome, raw.iterations))
 
-    for i in range(cfg.starts + 1):  # index 0 is the deterministic origin start
-        accept("start", i, _minimize_z(prob, lam, _start_vector(prob, cfg, i, radius),
-                                       cfg, groups, accepted))
+    _multistart(prob, lam, cfg, groups, radius, accepted, accept)
 
     attempts = max(32, cfg.starts)
     attempt = 0

@@ -173,6 +173,33 @@ def test_solve_manifest_counts_every_start_and_attempt(tmp_path, monkeypatch):
     assert '"minimizer" labels are local' in stats["note"]
 
 
+def test_manifest_notes_local_labels_from_the_growth_exponents(tmp_path):
+    # example 6.1 has alpha = 4 - r1 = 2 = p: not coercive, even when no
+    # start happens to diverge
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--reproduce", "example-6.1", "--lambda", "1e-9",
+                 "--seed", "42", "--starts", "4", "-o", str(out)]) == 0
+    stats = json.loads((tmp_path / "sol.json.manifest.json").read_text())["stats"]
+    assert stats["start"]["diverged"] == 0
+    assert ("growth exponents (2.0, 2.0) are not all below the exponents (2.0, 3.0)"
+            in stats["note"])
+    assert '"minimizer" labels are local' in stats["note"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+@pytest.mark.parametrize("command", [
+    ["solve", "--reproduce", "example-6.1", "--lambda", "0.3"],
+    ["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.2", "--lambda-max", "0.4",
+     "--steps", "2"]])
+def test_seed_outside_the_generator_key_range_exits_2(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    assert main(command + ["--seed", seed, "--starts", "2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must lie in [0, 2**128)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_tiny_lambda_exit4(tmp_path):
     out = tmp_path / "sol2.json"
     code = main(["solve", "--reproduce", "example-6.1", "--lambda", "1e-9",

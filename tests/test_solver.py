@@ -345,6 +345,36 @@ def test_find_three_repeats_byte_identical(prep61):
     assert solution_set_to_json(first) == solution_set_to_json(again)
 
 
+def serial_multistart(prob, lam, cfg, groups, radius, accepted, accept):
+    """The reference for the lockstep multistart: one start after another."""
+    for i in range(cfg.starts + 1):
+        z0 = solver._start_vector(prob, cfg, i, radius)
+        accept("start", i, solver._minimize_z(prob, lam, z0, cfg, groups, accepted))
+
+
+def test_lockstep_multistart_equals_serial_loop(monkeypatch):
+    launched, resolved = [], 0
+    launch = solver._launch
+    for key, lam, starts in (("example-6.1", 0.3, 8), ("example-6.1", 0.5, 8),
+                             ("example-6.2", 1.0, 4)):
+        prep = builtin_problem(key)
+        radius = 1.0 + max(prep.deltas)
+        for seed in (0, 3, 42):
+            cfg = gv.SolverConfig(seed=seed, starts=starts)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_launch",
+                          lambda prob, lam, zs: launched.extend(zs) or launch(prob, lam, zs))
+                lockstep = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_multistart", serial_multistart)
+                serial = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
+            assert solution_set_to_json(lockstep) == solution_set_to_json(serial), (key, seed)
+            assert lockstep.outcomes == serial.outcomes, (key, seed)
+            resolved += starts + 1
+    # some start was relaunched after an earlier one added a capture ball
+    assert len(launched) > resolved
+
+
 # Full solution-set text of two solves that reach deflation; a solve that
 # moves in any digit fails here.
 PINS = Path(__file__).parent / "pins"
@@ -379,6 +409,10 @@ def test_solver_parameter_validation(p2, cfg):
         gv.SolverConfig(starts=0)
     with pytest.raises(BadParam):
         gv.SolverConfig(grad_tol=0.0)
+    for seed in (-1, 2 ** 128):  # outside the start generator's key range
+        with pytest.raises(BadParam):
+            gv.SolverConfig(seed=seed)
+    assert gv.SolverConfig(seed=2 ** 128 - 1).seed == 2 ** 128 - 1
 
 
 def test_scalar_problem_solver_path():
