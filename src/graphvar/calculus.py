@@ -115,7 +115,7 @@ def _check_order(m: int) -> int:
 
 def _check_exponent(p: float) -> float:
     p = float(p)
-    if p <= 1.0:
+    if not p > 1.0:
         raise BadParam(f"exponent must satisfy p > 1, got {p}")
     return p
 

@@ -192,7 +192,7 @@ def ScalarProblem(*, graph: WeightedGraph, m: int, p: float, h: VertexFunction,
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise BadParam(f"the parameter must be nonnegative, got {lam}")
     return lam
 

@@ -322,7 +322,7 @@ def _split_values(prob: Problem, values, **floors) -> tuple[tuple, tuple]:
     sub = _labels(k)
     names = [f"gamma{i}" for i in sub] + [f"delta{i}" for i in sub] + list(floors)
     for name, val in zip(names, [*values, *floors.values()]):
-        if val <= 0.0:
+        if not val > 0.0:
             raise BadParam(f"{name} must be positive, got {val}")
     return values[:k], values[k:]
 

@@ -29,7 +29,7 @@ class SobolevSpec:
     def __post_init__(self):
         if int(self.m) < 1:
             raise BadParam(f"Sobolev order m must be >= 1, got {self.m}")
-        if float(self.l) <= 1.0:
+        if not float(self.l) > 1.0:
             raise BadParam(f"Sobolev exponent l must be > 1, got {self.l}")
         _check_potential(self.h.values)
 

@@ -20,8 +20,9 @@ the deflation factor itself uses the plain euclidean distance, which keeps
 its gradient trivial.
 
 Multistart descents stop early, with ``converged=False``, once they can
-only end as a divergence or as a duplicate (single-start `minimize`, the
-Newton polish and deflation have no such exits):
+only end as a divergence or as a duplicate (single-start `minimize` has
+no such exits, and the Newton polish and deflation stop only past
+DIVERGE_NORM):
 
 - "diverged" once |z|inf > DIVERGE_SCALE * (1 + start_scale).  Over the four
   acceptance solves at seeds 0-9 and 42 (2,860 starts), no start that
@@ -88,7 +89,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise BadParam(f"starts must be >= 1, got {self.starts}")
-        if self.grad_tol <= 0.0 or self.distinct_tol <= 0.0:
+        if not (self.grad_tol > 0.0 and self.distinct_tol > 0.0):
             raise BadParam("tolerances must be positive")
         if self.max_iters < 1:
             raise BadParam(f"max_iters must be >= 1, got {self.max_iters}")
@@ -139,7 +140,7 @@ def _check_problem(prob: Problem) -> None:
 
 def _check_lam(lam: float) -> float:
     lam = float(lam)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise BadParam(f"the parameter must be positive, got {lam}")
     return lam
 
@@ -284,12 +285,6 @@ def _diverged(z: np.ndarray, act: float, rsup: float, iters: int) -> _RawPoint:
                      outcome="diverged")
 
 
-def _newton_outcome(rsup: float, iters: int, cap: int, tol: float) -> str:
-    """Outcome of a Newton loop that ended with residual rsup after iters of
-    at most cap iterations."""
-    return "new" if rsup <= tol else "budget" if iters >= cap else "stalled"
-
-
 DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polish
 
 # A ball (centre, radius, action) around a nontrivial accepted point.
@@ -432,50 +427,75 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
         return _finish(prob, lam, col, cfg, groups)
 
 
-def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
-                   cfg: SolverConfig, iters: int, groups: _Groups) -> _RawPoint:
-    """Levenberg-damped Newton on the gradient, polishing to the tolerance.
+def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: int,
+                   stall_limit: int, tol: float, system, merit) -> _RawPoint:
+    """Levenberg-damped Newton from z to the residual tolerance `tol`.
 
-    Once below the acceptance tolerance it keeps stepping only while each
-    step at least halves the residual, so quadratic basins finish near
-    machine precision without spinning at a noise floor.
+    Each iteration builds ``mat, rhs = system(z, res)`` and tries up to 25
+    steps solving (mat + nu I) step = rhs; the first trial point with a lower
+    ``merit(z, res)`` is taken (a merit of inf or NaN never is lower).  nu
+    starts at 1e-6, grows 10-fold on a singular matrix and 4-fold on a
+    rejected trial, and shrinks 4-fold, to no less than 1e-14, on a taken one.
+    Below 0.3 tol it steps on only while each step halves the sup residual,
+    so quadratic basins finish near machine precision without spinning at a
+    noise floor.  The callers:
+
+    - `_newton_polish`: the symmetrised Hessian, rhs -mu res, merit sup|res|;
+      iterations count on from the descent's, up to max_iters; stall limit 3.
+    - `_deflated_newton`: m J + res (grad m)^T, rhs -m res, merit
+      ||m res||_2; at most min(max_iters, 200) iterations; stall limit 4.
+
+    The outcome is "new" within tol, else "budget" at the cap and "stalled"
+    after stall_limit iterations in a row without a step.  An iteration that
+    leaves |z|inf > DIVERGE_NORM ends the run "diverged".
     """
     nu = 1e-6
-    target_soft = 0.3 * cfg.grad_tol
-    target_hard = max(1e-4 * cfg.grad_tol, 1e-15)
+    target_soft = 0.3 * tol
+    target_hard = max(1e-4 * tol, 1e-15)
     stalls = 0
     fast = True
     with np.errstate(over="ignore", invalid="ignore"):
         res = prob.residual_vec(lam, z)
-        rsup = _sup(res)
-        while rsup > target_hard and iters < cfg.max_iters and stalls < 3:
+        rsup, val = _sup(res), merit(z, res)
+        while rsup > target_hard and iters < cap and stalls < stall_limit:
             if rsup <= target_soft and not fast:
                 break
-            hess = _hessian(prob, lam, z, groups)
-            grad = prob.mu_dofs * res
+            mat, rhs = system(z, res)
             moved = False
             for _ in range(25):
                 try:
-                    step = np.linalg.solve(hess + nu * np.eye(len(z)), -grad)
+                    step = np.linalg.solve(mat + nu * np.eye(len(z)), rhs)
                 except np.linalg.LinAlgError:
                     nu = max(nu, 1e-12) * 10.0
                     continue
                 cand = z + step
                 cres = prob.residual_vec(lam, cand)
-                crsup = _sup(cres)
-                if np.isfinite(crsup) and crsup < rsup:
+                cval = merit(cand, cres)
+                if cval < val:
+                    crsup = _sup(cres)
                     fast = crsup < 0.5 * rsup
-                    z, res, rsup = cand, cres, crsup
+                    z, res, rsup, val = cand, cres, crsup, cval
                     nu = max(nu / 4.0, 1e-14)
                     moved = True
                     break
                 nu = max(nu, 1e-12) * 4.0
             stalls = 0 if moved else stalls + 1
             iters += 1
+            if float(np.max(np.abs(z))) > DIVERGE_NORM:
+                return _diverged(z, prob.action_vec(lam, z), rsup, iters)
         act = prob.action_vec(lam, z)
+    outcome = "new" if rsup <= tol else "budget" if iters >= cap else "stalled"
     return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,
-                     converged=rsup <= cfg.grad_tol,
-                     outcome=_newton_outcome(rsup, iters, cfg.max_iters, cfg.grad_tol))
+                     converged=rsup <= tol, outcome=outcome)
+
+
+def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
+                   cfg: SolverConfig, iters: int, groups: _Groups) -> _RawPoint:
+    """Newton on the gradient from where a descent stopped (_damped_newton)."""
+    return _damped_newton(
+        prob, lam, z, iters, cfg.max_iters, 3, cfg.grad_tol,
+        lambda y, res: (_hessian(prob, lam, y, groups), -(prob.mu_dofs * res)),
+        lambda y, res: _sup(res))
 
 
 def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> CriticalPoint:
@@ -525,54 +545,19 @@ def _distinct(prob: Problem, z: np.ndarray, knowns: Iterable[np.ndarray],
 
 def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
                      z0: np.ndarray, cfg: SolverConfig, groups: _Groups) -> _RawPoint:
-    z = np.asarray(z0, dtype=float).copy()
-    nu = 1e-6
-    cap = min(cfg.max_iters, 200)
-    h_base = FD_SCALE
-    target_soft = 0.3 * cfg.grad_tol
-    target_hard = max(1e-4 * cfg.grad_tol, 1e-15)
-    fast = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = prob.residual_vec(lam, z)
+    """Newton on the deflated residual m(z) G(z) from z0 (_damped_newton)."""
+    def system(z, res):
         m, dm = _deflation_factor(z, knowns)
-        defres = m * res
-        iters = 0
-        stalls = 0
-        while _sup(res) > target_hard and iters < cap and stalls < 4:
-            if _sup(res) <= target_soft and not fast:
-                break
-            h = h_base * (1.0 + float(np.linalg.norm(z)))
-            jac_g = _fd_jacobian(lambda y: prob.residual_vec(lam, y), z, h, groups)
-            jac = m * jac_g + np.outer(res, dm)
-            rhs = -defres
-            moved = False
-            for _ in range(25):
-                try:
-                    step = np.linalg.solve(jac + nu * np.eye(len(z)), rhs)
-                except np.linalg.LinAlgError:
-                    nu = max(nu, 1e-12) * 10.0
-                    continue
-                cand = z + step
-                cres = prob.residual_vec(lam, cand)
-                cm, cdm = _deflation_factor(cand, knowns)
-                cdef = cm * cres
-                if (np.isfinite(cdef).all()
-                        and np.linalg.norm(cdef) < np.linalg.norm(defres)):
-                    fast = _sup(cres) < 0.5 * _sup(res)
-                    z, res, m, dm, defres = cand, cres, cm, cdm, cdef
-                    nu = max(nu / 4.0, 1e-14)
-                    moved = True
-                    break
-                nu = max(nu, 1e-12) * 4.0
-            stalls = 0 if moved else stalls + 1
-            iters += 1
-            if float(np.max(np.abs(z))) > DIVERGE_NORM:
-                return _diverged(z, prob.action_vec(lam, z), _sup(res), iters)
-        rsup = _sup(res)
-        act = prob.action_vec(lam, z)
-    return _RawPoint(z=z, action=float(act), residual_sup=rsup, iterations=iters,
-                     converged=rsup <= cfg.grad_tol,
-                     outcome=_newton_outcome(rsup, iters, cap, cfg.grad_tol))
+        h = FD_SCALE * (1.0 + float(np.linalg.norm(z)))
+        jac = _fd_jacobian(lambda y: prob.residual_vec(lam, y), z, h, groups)
+        return m * jac + np.outer(res, dm), -(m * res)
+
+    def merit(z, res):
+        return np.linalg.norm(_deflation_factor(z, knowns)[0] * res)
+
+    z = np.asarray(z0, dtype=float).copy()
+    return _damped_newton(prob, lam, z, 0, min(cfg.max_iters, 200), 4, cfg.grad_tol,
+                          system, merit)
 
 
 def deflated_solve(prob: Problem, lam: float, known: Sequence[State],

@@ -307,3 +307,12 @@ PINS = Path(__file__).parent / "pins"
 def test_acceptance_solves_match_pins(key, lam):
     _, text, _ = _cached_solve(key, lam)
     assert text == (PINS / f"accept-{key}-{lam}.json").read_text()
+
+
+# How every start and deflation attempt of those solves ended, as
+# (phase, index, outcome); the iteration counts are not pinned.
+@pytest.mark.parametrize("key, lam", SOLVE_CONFIGS)
+def test_acceptance_outcome_labels_match_pins(key, lam):
+    sset, _, _ = _cached_solve(key, lam)
+    labels = [[phase, index, outcome] for phase, index, outcome, _ in sset.outcomes]
+    assert labels == json.loads((PINS / "accept-outcomes.json").read_text())[f"{key}-{lam}"]

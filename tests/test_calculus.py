@@ -289,6 +289,8 @@ def test_bad_exponent_rejected(p2, step):
     with pytest.raises(BadParam):
         gv.p_laplacian(p2, step, 1.0)
     with pytest.raises(BadParam):
+        gv.p_laplacian(p2, step, float("nan"))
+    with pytest.raises(BadParam):
         gv.poly_lap_weak(p2, step, step, 1, 0.5)
 
 

@@ -200,6 +200,21 @@ def test_seed_outside_the_generator_key_range_exits_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "nan"],
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "0.3",
+     "--grad-tol", "nan"],
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "0.3",
+     "--distinct-tol", "nan"],
+    ["interval", "--reproduce", "example-6.1", "--gamma1", "nan"]],
+    ids=["lambda", "grad-tol", "distinct-tol", "gamma1"])
+def test_nan_parameter_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main(command + ["-o", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_tiny_lambda_exit4(tmp_path):
     out = tmp_path / "sol2.json"
     code = main(["solve", "--reproduce", "example-6.1", "--lambda", "1e-9",

@@ -122,4 +122,6 @@ def test_potential_and_exponent_validation(p2):
     with pytest.raises(BadParam):
         SobolevSpec(1, 1.0, ones(p2))
     with pytest.raises(BadParam):
+        SobolevSpec(1, float("nan"), ones(p2))
+    with pytest.raises(BadParam):
         gv.lr_embedding_const_floors(3.0, 2.0, 1.0, 1.0)  # needs r >= l

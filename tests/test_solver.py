@@ -132,6 +132,25 @@ def test_multistart_descent_stops_just_past_the_divergence_bound(prep61, cfg, mo
     assert cut.iterations < full.iterations
 
 
+def test_newton_polish_stops_past_the_divergence_norm(prep61, cfg, monkeypatch):
+    # from ten times the reference constants the polish converges to a
+    # critical point with |z|inf = 93.7, through a first iterate at 105.7;
+    # with DIVERGE_NORM below both it ends "diverged" after that iteration,
+    # counting on from the iterations it was handed
+    prob = prep61.problem
+    z0 = np.concatenate([np.full(prob.graph.n_vertices, 10.0 * d) for d in prep61.deltas])
+    groups = solver._jacobian_groups(prob)
+    full = solver._newton_polish(prob, 0.3, z0, cfg, 5, groups)
+    assert (full.outcome, full.converged) == ("new", True)
+    assert 90.0 < np.max(np.abs(full.z)) < 100.0
+    monkeypatch.setattr(solver, "DIVERGE_NORM", 50.0)
+    cut = solver._newton_polish(prob, 0.3, z0, cfg, 5, groups)
+    assert (cut.outcome, cut.converged, cut.iterations) == ("diverged", False, 6)
+    assert np.max(np.abs(cut.z)) > 100.0
+    assert cut.residual_sup > cfg.grad_tol
+    assert cut.action == prob.action_vec(0.3, cut.z)
+
+
 @pytest.fixture(scope="module")
 def close_pair(prep61):
     """Example 6.1 at lambda = 0.5, seed 5: a minimizer far out, a saddle

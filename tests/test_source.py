@@ -1,8 +1,10 @@
 """Source-level guards: the library's behaviour is set by its arguments
 alone, with no environment variables and no threads; and every name the
-benchmark's layer trace wraps still exists."""
+benchmark's layer trace wraps still exists, with the arguments its hooks
+read at the positions they read them."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -17,6 +19,9 @@ FORBIDDEN = re.compile(r"os\.environ|getenv|concurrent\.futures|threading")
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 # what `cls` is in a loop over the workload's types
 CLS_LOOPS = {"nonlinearity_types": NonlinearityModel, "problem_types": Problem}
+# the arguments the layer trace's hooks read by position
+HOOK_ARGS = {solver._newton_polish: {4: "iters"},
+             solver._deflated_newton: {0: "prob", 2: "knowns", 4: "cfg"}}
 
 
 def test_library_reads_no_environment_and_starts_no_threads():
@@ -55,3 +60,6 @@ def test_benchmark_wraps_find_their_names():
     missing = [(owner, names) for owner, obj, names in calls
                if not any(hasattr(obj, name) for name in names)]
     assert missing == []
+    for fn, want in HOOK_ARGS.items():
+        params = list(inspect.signature(fn).parameters)
+        assert {i: params[i] for i in want} == want, fn.__name__
