@@ -242,9 +242,9 @@ def cmd_sweep(args) -> int:
     prep, inputs = _load_problem(args)
     if args.steps < 2:
         raise BadParam(f"steps must be >= 2, got {args.steps}")
-    if not (0.0 < args.lambda_min < args.lambda_max):
-        raise BadParam(
-            f"need 0 < lambda-min < lambda-max, got ({args.lambda_min}, {args.lambda_max})")
+    if not 0.0 < args.lambda_min < args.lambda_max < np.inf:
+        raise BadParam(f"need 0 < --lambda-min < --lambda-max < inf, "
+                       f"got ({args.lambda_min}, {args.lambda_max})")
     cfg, radius = _solver_setup(args, prep)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     rows, stats = [], []

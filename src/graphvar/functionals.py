@@ -192,8 +192,8 @@ def ScalarProblem(*, graph: WeightedGraph, m: int, p: float, h: VertexFunction,
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    if not lam >= 0.0:
-        raise BadParam(f"the parameter must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise BadParam(f"the parameter must be nonnegative and finite, got {lam}")
     return lam
 
 

@@ -209,8 +209,9 @@ def box_max_F(model: NonlinearityModel, s_max: float, t_max: float) -> float:
     lambda_hi; a report's refinement_gap is how much it moves on a finer grid,
     a sensitivity and not a bound on that error.
     """
-    if s_max <= 0.0 or t_max < 0.0:
-        raise BadParam(f"box bounds must be positive, got ({s_max}, {t_max})")
+    if not (0.0 < s_max < math.inf and 0.0 <= t_max < math.inf):
+        raise BadParam(f"box bounds must be finite, s_max > 0 and t_max >= 0, "
+                       f"got ({s_max}, {t_max})")
     return _box_grid_max(model, s_max, t_max, GRID_POINTS)
 
 
@@ -224,8 +225,8 @@ def envelope_max(model: NonlinearityModel, rho_max: float) -> float:
     """Sampled maximum of the radial envelope a over [0, rho_max], as in box_max_F."""
     if model.envelope is None:
         raise MissingEnvelope("model has no (a, b) envelope")
-    if rho_max <= 0.0:
-        raise BadParam(f"radius must be positive, got {rho_max}")
+    if not 0.0 < rho_max < math.inf:
+        raise BadParam(f"radius must be positive and finite, got {rho_max}")
     return _grid_max_1d(model.envelope, 0.0, rho_max, GRID_POINTS)
 
 
@@ -314,7 +315,7 @@ def _pad(values, fill: float = 0.0) -> tuple:
 
 
 def _split_values(prob: Problem, values, **floors) -> tuple[tuple, tuple]:
-    """k gammas then k deltas from `values`, checked positive with the floors."""
+    """k gammas then k deltas from `values`, checked finite and positive with the floors."""
     k = len(prob.components)
     if len(values) != 2 * k:
         raise BadParam(f"a {k}-component problem takes {k} gamma(s) then {k} "
@@ -322,8 +323,8 @@ def _split_values(prob: Problem, values, **floors) -> tuple[tuple, tuple]:
     sub = _labels(k)
     names = [f"gamma{i}" for i in sub] + [f"delta{i}" for i in sub] + list(floors)
     for name, val in zip(names, [*values, *floors.values()]):
-        if not val > 0.0:
-            raise BadParam(f"{name} must be positive, got {val}")
+        if not 0.0 < val < math.inf:
+            raise BadParam(f"{name} must be positive and finite, got {val}")
     return values[:k], values[k:]
 
 

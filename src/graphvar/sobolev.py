@@ -29,14 +29,24 @@ class SobolevSpec:
     def __post_init__(self):
         if int(self.m) < 1:
             raise BadParam(f"Sobolev order m must be >= 1, got {self.m}")
-        if not float(self.l) > 1.0:
-            raise BadParam(f"Sobolev exponent l must be > 1, got {self.l}")
+        if not 1.0 < float(self.l) < np.inf:
+            raise BadParam(f"Sobolev exponent l must be finite and > 1, got {self.l}")
         _check_potential(self.h.values)
 
 
 def _check_potential(h_arr: np.ndarray) -> None:
     if np.any(h_arr <= 0.0):
         raise NonPositivePotential("potential h must be strictly positive on every vertex")
+
+
+def _check_exponents(*exps: float) -> None:
+    if not all(1.0 < float(e) < np.inf for e in exps):
+        raise BadParam(f"embedding exponents must be finite and exceed 1, got {exps}")
+
+
+def _check_floors(h0: float, mu0: float) -> None:
+    if not (0.0 < h0 < np.inf and 0.0 < mu0 < np.inf):
+        raise NonPositivePotential(f"floors must be positive and finite, got h0={h0}, mu0={mu0}")
 
 
 def w_norm_power(g: WeightedGraph, u: VertexFunction, spec: SobolevSpec) -> float:
@@ -56,8 +66,7 @@ def sup_embedding_const(g: WeightedGraph, l: float, h: VertexFunction) -> float:
     """d_l with max|u| <= d_l ||u||_W on a finite graph."""
     check_domain(g, h)
     _check_potential(h.values)
-    if float(l) <= 1.0:
-        raise BadParam(f"embedding exponent l must be > 1, got {l}")
+    _check_exponents(l)
     return float((1.0 / (np.min(g.mu) * np.min(h.values))) ** (1.0 / l))
 
 
@@ -65,23 +74,22 @@ def lr_embedding_const(g: WeightedGraph, l: float, r: float, h: VertexFunction) 
     """K_{l,r} with ||u||_{L^r} <= K_{l,r} ||u||_W on a finite graph."""
     check_domain(g, h)
     _check_potential(h.values)
-    if float(l) <= 1.0 or float(r) <= 1.0:
-        raise BadParam(f"embedding exponents must exceed 1, got l={l}, r={r}")
+    _check_exponents(l, r)
     total = float(np.sum(g.mu))
     return float(total ** (1.0 / r) / (np.min(g.mu) * np.min(h.values)) ** (1.0 / l))
 
 
 def sup_embedding_const_floors(l: float, h0: float, mu0: float) -> float:
     """Sup-norm embedding constant from floor values on a locally finite graph."""
-    if h0 <= 0.0 or mu0 <= 0.0:
-        raise NonPositivePotential(f"floors must be positive, got h0={h0}, mu0={mu0}")
+    _check_floors(h0, mu0)
+    _check_exponents(l)
     return float((1.0 / (h0 * mu0)) ** (1.0 / l))
 
 
 def lr_embedding_const_floors(l: float, r: float, h0: float, mu0: float) -> float:
     """L^r embedding constant from floors, valid for l <= r < infinity."""
-    if h0 <= 0.0 or mu0 <= 0.0:
-        raise NonPositivePotential(f"floors must be positive, got h0={h0}, mu0={mu0}")
+    _check_floors(h0, mu0)
+    _check_exponents(l, r)
     if r < l:
         raise BadParam(f"floor-based L^r embedding needs r >= l, got l={l}, r={r}")
     return float(mu0 ** ((l - r) / (l * r)) * h0 ** (-1.0 / l))

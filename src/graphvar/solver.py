@@ -89,8 +89,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise BadParam(f"starts must be >= 1, got {self.starts}")
-        if not (self.grad_tol > 0.0 and self.distinct_tol > 0.0):
-            raise BadParam("tolerances must be positive")
+        if not (0.0 < self.grad_tol < np.inf and 0.0 < self.distinct_tol < np.inf):
+            raise BadParam("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise BadParam(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 <= self.seed < 2 ** 128:  # the key range of the start generator
@@ -140,8 +140,8 @@ def _check_problem(prob: Problem) -> None:
 
 def _check_lam(lam: float) -> float:
     lam = float(lam)
-    if not lam > 0.0:
-        raise BadParam(f"the parameter must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise BadParam(f"the parameter must be positive and finite, got {lam}")
     return lam
 
 
@@ -157,47 +157,39 @@ def _hops(m: int) -> int:
     return m if m % 2 == 0 else m + 1
 
 
-def _balls(g, radius: int) -> list[np.ndarray]:
-    """Vertices within `radius` hops of each vertex, by breadth-first search
-    over the edge list."""
-    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for a, b in g.edge_index.tolist():
-        adj[a].append(b)
-        adj[b].append(a)
-    out = []
-    for x in range(g.n_vertices):
-        seen, frontier = {x}, [x]
-        for _ in range(radius):
-            frontier = list(dict.fromkeys(y for f in frontier for y in adj[f]
-                                          if y not in seen))
-            seen.update(frontier)
-        out.append(np.array(sorted(seen), dtype=np.intp))
-    return out
+def _sparsity(prob: Problem) -> np.ndarray:
+    """Boolean n_dofs x n_dofs mask: entry (i, j) is set when residual row i
+    depends on coordinate j.
 
-
-def _sparsity(prob: Problem) -> list[np.ndarray]:
-    """Row i of the result lists the coordinates residual row i depends on.
-
-    Each component couples within its operator's reach; with two components
-    a row also holds the other component at the same vertex, which any
-    pointwise nonlinearity can couple.
+    Each component couples within its operator's reach, the boolean power
+    of the 0/1 adjacency with the identity, thresholded after each hop so
+    the products count exactly at any BLAS thread count; with two
+    components a row also holds the other component at the same vertex,
+    which any pointwise nonlinearity can couple.
     """
     g = prob.graph
-    n = g.n_vertices
-    k = len(prob.components)
-    balls = [_balls(g, _hops(c.m)) for c in prob.components]
-    return [np.concatenate([d * n + (balls[c][x] if d == c else np.array([x]))
-                            for d in range(k)])
-            for c in range(k) for x in range(n)]
+    eye = np.eye(g.n_vertices, dtype=bool)
+    step = np.eye(g.n_vertices)
+    a, b = g.edge_index.T
+    step[a, b] = step[b, a] = 1.0
+    reach = []
+    for c in prob.components:
+        r = eye
+        for _ in range(_hops(c.m)):
+            r = r @ step > 0.0
+        reach.append(r)
+    k = len(reach)
+    return np.block([[reach[c] if d == c else eye for d in range(k)] for c in range(k)])
 
 
-def _colour_columns(pattern: list[np.ndarray]) -> np.ndarray:
+def _colour_columns(mask: np.ndarray) -> np.ndarray:
     """Greedy colouring of the column-intersection graph in column order:
-    columns that share a row get different colours.  The pattern is
-    symmetric, so column j enters exactly the rows pattern[j]."""
-    colour = np.full(len(pattern), -1, dtype=np.intp)
-    for j, rows in enumerate(pattern):
-        taken = set(colour[np.concatenate([pattern[i] for i in rows])].tolist())
+    columns that share a row get different colours."""
+    cols = mask.astype(float)
+    share = cols.T @ cols > 0.0
+    colour = np.full(len(mask), -1, dtype=np.intp)
+    for j in range(len(mask)):
+        taken = set(colour[share[j]].tolist())
         c = 0
         while c in taken:
             c += 1
@@ -205,39 +197,29 @@ def _colour_columns(pattern: list[np.ndarray]) -> np.ndarray:
     return colour
 
 
-# One (perturbed columns, entry rows, entry columns) triple per colour group.
-_Groups = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+# (sparsity mask, column colours) of the compressed Jacobians.
+_Groups = tuple[np.ndarray, np.ndarray]
 
 
 def _jacobian_groups(prob: Problem) -> _Groups:
-    pattern = _sparsity(prob)
-    colour = _colour_columns(pattern)
-    row_idx = np.repeat(np.arange(len(pattern)), [len(c) for c in pattern])
-    col_idx = np.concatenate(pattern)
-    groups = []
-    for c in range(int(colour.max()) + 1):
-        entries = colour[col_idx] == c
-        groups.append((np.flatnonzero(colour == c), row_idx[entries], col_idx[entries]))
-    return groups
+    mask = _sparsity(prob)
+    return mask, _colour_columns(mask)
 
 
 def _fd_jacobian(fn, z: np.ndarray, h: float, groups: _Groups) -> np.ndarray:
     """Central-difference Jacobian of a vector map, compressed by column
-    groups (Curtis, Powell & Reid 1974): no two columns of a group share a
-    row, so one residual pair per group recovers all of its columns, bit for
-    bit as if each were perturbed alone.  `fn` takes every pair at once, as
-    the columns of one batch."""
-    k = len(groups)
-    batch = np.repeat(z[:, None], 2 * k, axis=1)
-    for c, (cols, _, _) in enumerate(groups):
-        batch[cols, c] += h
-        batch[cols, k + c] -= h
-    vals = fn(batch)
+    colours (Curtis, Powell & Reid 1974): no two columns of a colour share a
+    row of the mask, so one residual pair per colour recovers all of its
+    columns, bit for bit as if each were perturbed alone.  `fn` takes every
+    pair at once, as the columns of one batch."""
+    mask, colour = groups
+    k = int(colour.max()) + 1
+    on = colour[:, None] == np.arange(k)
+    col = z[:, None]
+    vals = fn(np.concatenate([np.where(on, col + h, col), np.where(on, col - h, col)],
+                             axis=1))
     diff = (vals[:, :k] - vals[:, k:]) / (2.0 * h)
-    jac = np.zeros((len(z), len(z)))
-    for c, (_, rows, entry_cols) in enumerate(groups):
-        jac[rows, entry_cols] = diff[rows, c]
-    return jac
+    return np.where(mask, diff[:, colour], 0.0)
 
 
 def _hessian(prob: Problem, lam: float, z: np.ndarray, groups: _Groups) -> np.ndarray:

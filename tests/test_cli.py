@@ -206,8 +206,15 @@ def test_seed_outside_the_generator_key_range_exits_2(tmp_path, capsys, command,
      "--grad-tol", "nan"],
     ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "0.3",
      "--distinct-tol", "nan"],
-    ["interval", "--reproduce", "example-6.1", "--gamma1", "nan"]],
-    ids=["lambda", "grad-tol", "distinct-tol", "gamma1"])
+    ["interval", "--reproduce", "example-6.1", "--gamma1", "nan"],
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "inf"],
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "0.3",
+     "--grad-tol", "inf"],
+    ["solve", "--reproduce", "example-6.1", "--starts", "2", "--lambda", "0.3",
+     "--distinct-tol", "inf"],
+    ["interval", "--reproduce", "example-6.1", "--delta1", "inf"]],
+    ids=["lambda", "grad-tol", "distinct-tol", "gamma1", "lambda-inf", "grad-tol-inf",
+         "distinct-tol-inf", "delta1-inf"])
 def test_nan_parameter_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main(command + ["-o", str(out)]) == 2
@@ -275,6 +282,17 @@ def test_sweep_rows_and_validation(tmp_path):
                  "--lambda-max", "0.4", "--steps", "1", "-o", str(out)]) == 2
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.4",
                  "--lambda-max", "0.2", "--steps", "3", "-o", str(out)]) == 2
+
+
+def test_sweep_infinite_lambda_max_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.05",
+                 "--lambda-max", "inf", "--steps", "3", "--starts", "2",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "need 0 < --lambda-min < --lambda-max < inf, got (0.05, inf)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_problem_flag_is_validation_error(tmp_path):

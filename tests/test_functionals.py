@@ -119,8 +119,9 @@ def test_action_lambda_zero_is_phi(prep61):
     assert gv.action(prob, 0.0, w) == pytest.approx(gv.phi_energy(prob, w), rel=1e-14)
     with pytest.raises(BadParam):
         gv.action(prob, -0.1, w)
-    with pytest.raises(BadParam):
-        gv.action(prob, float("nan"), w)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(BadParam):
+            gv.action(prob, bad, w)
 
 
 def test_action_vanishes_at_lower_endpoint_constants(prep61):

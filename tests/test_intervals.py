@@ -103,11 +103,17 @@ def test_envelope_max_reference(prep62):
     assert envelope_max(model, W) == pytest.approx(want, rel=1e-9)
     with pytest.raises(MissingEnvelope):
         envelope_max(zero_model(), 1.0)
+    for bound in (math.nan, math.inf):
+        with pytest.raises(BadParam):
+            envelope_max(model, bound)
 
 
 def test_box_max_validation(prep61):
     with pytest.raises(BadParam):
         gv.box_max_F(prep61.problem.nonlinearity, -1.0, 1.0)
+    for bounds in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(BadParam):
+            gv.box_max_F(prep61.problem.nonlinearity, *bounds)
 
 
 # -- the finite coupled interval ------------------------------------------

@@ -74,18 +74,17 @@ def test_compressed_jacobian_is_the_dense_one_bitwise(case):
 @settings(max_examples=60, deadline=None)
 @given(problems())
 def test_no_two_columns_of_a_colour_share_a_row(prob):
-    pattern = solver._sparsity(prob)
-    colour = solver._colour_columns(pattern)
-    for cols in pattern:
-        assert len(set(colour[cols].tolist())) == len(cols)
-    groups = solver._jacobian_groups(prob)
-    perturbed = np.sort(np.concatenate([cols for cols, _, _ in groups]))
-    assert np.array_equal(perturbed, np.arange(prob.n_dofs))
+    mask, colour = solver._jacobian_groups(prob)
+    assert mask.dtype == bool and mask.shape == (prob.n_dofs, prob.n_dofs)
+    for row in mask:
+        assert len(set(colour[row].tolist())) == np.count_nonzero(row)
+    assert np.array_equal(np.unique(colour), np.arange(colour.max() + 1))
 
 
 def test_builtin_colour_counts():
-    assert len(solver._jacobian_groups(builtin_problem("example-6.1").problem)) == 12
-    assert len(solver._jacobian_groups(builtin_problem("example-6.2").problem)) == 18
+    for name, colours, nonzeros in (("example-6.1", 12, 140), ("example-6.2", 18, 1941)):
+        mask, colour = solver._jacobian_groups(builtin_problem(name).problem)
+        assert (colour.max() + 1, np.count_nonzero(mask)) == (colours, nonzeros)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +96,9 @@ def solve61():
 
 def test_solve_is_the_same_with_one_column_per_group(solve61, monkeypatch):
     prob, sset, cfg = solve61
-    monkeypatch.setattr(solver, "_colour_columns",
-                        lambda pattern: np.arange(len(pattern)))
-    assert len(solver._jacobian_groups(prob)) == prob.n_dofs
+    monkeypatch.setattr(solver, "_colour_columns", lambda mask: np.arange(len(mask)))
+    _, colour = solver._jacobian_groups(prob)
+    assert colour.max() + 1 == prob.n_dofs
     assert solution_set_to_json(gv.find_three(prob, 0.3, cfg)) == solution_set_to_json(sset)
 
 

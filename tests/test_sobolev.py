@@ -122,6 +122,17 @@ def test_potential_and_exponent_validation(p2):
     with pytest.raises(BadParam):
         SobolevSpec(1, 1.0, ones(p2))
     with pytest.raises(BadParam):
-        SobolevSpec(1, float("nan"), ones(p2))
-    with pytest.raises(BadParam):
         gv.lr_embedding_const_floors(3.0, 2.0, 1.0, 1.0)  # needs r >= l
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonPositivePotential):
+            gv.sup_embedding_const_floors(2.0, bad, 1.0)
+        with pytest.raises(NonPositivePotential):
+            gv.lr_embedding_const_floors(2.0, 3.0, bad, 1.0)
+        with pytest.raises(BadParam):
+            gv.sup_embedding_const_floors(bad, 1.0, 1.0)
+        with pytest.raises(BadParam):
+            gv.sup_embedding_const(p2, bad, ones(p2))
+        with pytest.raises(BadParam):
+            gv.lr_embedding_const(p2, 2.0, bad, ones(p2))
+        with pytest.raises(BadParam):
+            SobolevSpec(1, bad, ones(p2))
