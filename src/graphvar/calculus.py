@@ -51,18 +51,20 @@ def _edge_diff(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     return arr[g.edge_index[:, 1]] - arr[g.edge_index[:, 0]]
 
 
-def _scatter(g: WeightedGraph, idx: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """Deterministic accumulation of per-edge terms onto vertices, in edge order.
+def _scatter(g: WeightedGraph, side: int, term: np.ndarray) -> np.ndarray:
+    """Deterministic accumulation of per-edge terms onto the vertices at one
+    side of each edge (0 for a, 1 for b), in edge order.
 
-    A batch is one bincount over flattened (vertex, column) keys, so each
-    column sums in edge order exactly as its 1-D scatter would.
+    A batch is one bincount over (column, vertex) keys taken from the
+    graph's scatter plan, so each column sums in edge order exactly as its
+    1-D scatter would.
     """
     if term.ndim == 1:
-        return np.bincount(idx, weights=term, minlength=g.n_vertices)
-    k = term.shape[1]
-    keys = (idx[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(keys, weights=term.ravel(),
-                       minlength=g.n_vertices * k).reshape(g.n_vertices, k)
+        return np.bincount(g.edge_index[:, side], weights=term, minlength=g.n_vertices)
+    k, n = term.shape[1], g.n_vertices
+    keys = g._scatter_keys(k)[side, :k].ravel()
+    sums = np.bincount(keys, weights=term.T.ravel(), minlength=n * k)
+    return np.ascontiguousarray(sums.reshape(k, n).T)
 
 
 def _on_live(fn, arr: np.ndarray, dead: np.ndarray) -> np.ndarray:
@@ -76,17 +78,15 @@ def _on_live(fn, arr: np.ndarray, dead: np.ndarray) -> np.ndarray:
 def gamma_arr(g: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gamma(u, v)(x) = (1 / 2 mu(x)) sum_y w_xy (u(y)-u(x)) (v(y)-v(x))."""
     # the product du*dv is formed first so gamma(u, v) == gamma(v, u) exactly
-    term = _along(g.edge_weight, u) * (_edge_diff(g, u) * _edge_diff(g, v))
-    return (_scatter(g, g.edge_index[:, 0], term)
-            + _scatter(g, g.edge_index[:, 1], term)) / (2.0 * _along(g.mu, u))
+    du = _edge_diff(g, u)
+    term = _along(g.edge_weight, u) * (du * (du if v is u else _edge_diff(g, v)))
+    return (_scatter(g, 0, term) + _scatter(g, 1, term)) / (2.0 * _along(g.mu, u))
 
 
 def laplacian_arr(g: WeightedGraph, arr: np.ndarray) -> np.ndarray:
     """Delta u(x) = (1 / mu(x)) sum_y w_xy (u(y) - u(x))."""
     term = _along(g.edge_weight, arr) * _edge_diff(g, arr)
-    out = (_scatter(g, g.edge_index[:, 0], term)
-           - _scatter(g, g.edge_index[:, 1], term))
-    return out / _along(g.mu, arr)
+    return (_scatter(g, 0, term) - _scatter(g, 1, term)) / _along(g.mu, arr)
 
 
 def iterated_laplacian_arr(g: WeightedGraph, arr: np.ndarray, k: int) -> np.ndarray:
@@ -141,8 +141,7 @@ def weighted_p_lap_arr(g: WeightedGraph, arr: np.ndarray, coeff: np.ndarray) -> 
     """x -> (1 / 2 mu(x)) sum_y (coeff(y) + coeff(x)) w_xy (arr(y) - arr(x))."""
     ea, eb = g.edge_index[:, 0], g.edge_index[:, 1]
     term = (coeff[ea] + coeff[eb]) * _along(g.edge_weight, arr) * _edge_diff(g, arr)
-    out = _scatter(g, ea, term) - _scatter(g, eb, term)
-    return out / (2.0 * _along(g.mu, arr))
+    return (_scatter(g, 0, term) - _scatter(g, 1, term)) / (2.0 * _along(g.mu, arr))
 
 
 def p_laplacian_arr(g: WeightedGraph, arr: np.ndarray, p: float) -> np.ndarray:

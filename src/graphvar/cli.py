@@ -86,15 +86,24 @@ def _write_manifest(report_path: str, command: str, input_paths: list[str],
                 json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_problem(args) -> tuple[PreparedProblem, list[str]]:
+# the flags each bundled problem reads
+_BUILTIN_FLAGS = {"example-6.1": ("r1", "r2"), "example-6.2": ("r_tail", "radius")}
+
+
+def _load_problem(args) -> tuple[PreparedProblem, list[str], dict]:
+    """The problem, the input files, and the problem's part of the manifest
+    config: the bundled key and the flags it reads, or nothing for a
+    problem document, whose digest is among the inputs."""
     if args.reproduce:
         prep = builtin_problem(args.reproduce, r1=args.r1, r2=args.r2,
                                r=args.r_tail, radius=args.radius)
-        return prep, []
+        flags = _BUILTIN_FLAGS[args.reproduce]
+        return prep, [], {"builtin": args.reproduce,
+                          **{name: getattr(args, name) for name in flags}}
     if not args.problem:
         raise BadParam("either --problem or --reproduce is required")
     prep = problem_from_doc(_read_json(args.problem))
-    return prep, [args.problem]
+    return prep, [args.problem], {}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ def cmd_op(args) -> int:
 
 
 def cmd_interval(args) -> int:
-    prep, inputs = _load_problem(args)
+    prep, inputs, config = _load_problem(args)
     mode = args.mode or prep.mode
     # --gamma/--delta for one component, --gamma1/--gamma2/... for two
     k = len(prep.problem.components)
@@ -164,14 +173,15 @@ def cmd_interval(args) -> int:
     if None in values:
         raise BadParam("intervals need " + ", ".join(
             f"--{name}{s}" for name in ("gamma", "delta") for s in sub))
+    config.update(mode=mode, gammas=values[:k], deltas=values[k:])
     if mode == "finite":
         report = interval_finite(prep.problem, *values)
     else:
-        report = interval_locally_finite(
-            prep.problem, args.x0 or prep.x0, *values,
-            h0=args.h0 if args.h0 is not None else prep.h0,
-            mu0=args.mu0 if args.mu0 is not None else prep.mu0)
-    config = {"mode": mode, "gammas": values[:k], "deltas": values[k:]}
+        config.update(x0=args.x0 or prep.x0,
+                      h0=args.h0 if args.h0 is not None else prep.h0,
+                      mu0=args.mu0 if args.mu0 is not None else prep.mu0)
+        report = interval_locally_finite(prep.problem, config["x0"], *values,
+                                         h0=config["h0"], mu0=config["mu0"])
 
     text = json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)
@@ -184,13 +194,16 @@ def cmd_interval(args) -> int:
     return EXIT_OK if report.valid else EXIT_HYPOTHESES
 
 
-def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float]]:
-    """The solver configuration from the command line, and the start radius:
-    1 + the largest reference delta, or the solver's default without one."""
+def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float], dict]:
+    """The solver configuration from the command line, the start radius (1 +
+    the largest reference delta, or the solver's default without one), and
+    the solver's part of the manifest config."""
     cfg = SolverConfig(starts=args.starts, max_iters=args.max_iters,
                        grad_tol=args.grad_tol, distinct_tol=args.distinct_tol,
                        seed=args.seed)
-    return cfg, (1.0 + max(prep.deltas) if prep.deltas else None)
+    config = {"starts": cfg.starts, "max_iters": cfg.max_iters,
+              "grad_tol": cfg.grad_tol, "distinct_tol": cfg.distinct_tol}
+    return cfg, (1.0 + max(prep.deltas) if prep.deltas else None), config
 
 
 def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
@@ -217,14 +230,13 @@ def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
 
 
 def cmd_solve(args) -> int:
-    prep, inputs = _load_problem(args)
-    cfg, radius = _solver_setup(args, prep)
+    prep, inputs, config = _load_problem(args)
+    cfg, radius, solver_config = _solver_setup(args, prep)
     sset = find_three(prep.problem, args.lam, cfg, start_radius=radius)
     text = solution_set_to_json(sset)
     _write_text(args.out, text)
-    config = {"lambda": args.lam, "starts": cfg.starts, "max_iters": cfg.max_iters,
-              "grad_tol": cfg.grad_tol, "distinct_tol": cfg.distinct_tol,
-              "expect_three": bool(args.expect_three)}
+    config.update(solver_config, expect_three=bool(args.expect_three))
+    config["lambda"] = args.lam
     _write_manifest(args.out, "solve", inputs, config, seed=cfg.seed,
                     stats=_outcome_stats(prep.problem, sset))
 
@@ -239,13 +251,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    prep, inputs = _load_problem(args)
+    prep, inputs, config = _load_problem(args)
     if args.steps < 2:
         raise BadParam(f"steps must be >= 2, got {args.steps}")
     if not 0.0 < args.lambda_min < args.lambda_max < np.inf:
         raise BadParam(f"need 0 < --lambda-min < --lambda-max < inf, "
                        f"got ({args.lambda_min}, {args.lambda_max})")
-    cfg, radius = _solver_setup(args, prep)
+    cfg, radius, solver_config = _solver_setup(args, prep)
     lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     rows, stats = [], []
     for lam in lams:
@@ -268,8 +280,8 @@ def cmd_sweep(args) -> int:
             writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {args.out}: {exc}") from exc
-    config = {"lambda_min": args.lambda_min, "lambda_max": args.lambda_max,
-              "steps": args.steps, "starts": cfg.starts}
+    config.update(solver_config, lambda_min=args.lambda_min,
+                  lambda_max=args.lambda_max, steps=args.steps)
     _write_manifest(args.out, "sweep", inputs, config, seed=cfg.seed, stats=stats)
     return EXIT_OK
 

@@ -44,12 +44,17 @@ from .sobolev import SobolevSpec
 
 
 def _integrate(g: WeightedGraph, vals: np.ndarray):
-    """sum_x mu(x) vals(x): a float, or one per column of a batch.  Each
-    column is a 1-D dot on a contiguous copy; a matrix product or a strided
-    dot sums in another order."""
+    """sum_x mu(x) vals(x): a float, or one per column of a batch.
+
+    A batch is one vecdot over the contiguous rows of vals.T, the BLAS dot
+    of the 1-D call; a matrix product or a strided dot sums in another
+    order.  On one vertex np.dot is a product, which keeps a -0.0 that the
+    vecdot sum (started at +0.0) does not, so the batch multiplies too."""
     if vals.ndim == 1:
         return float(np.dot(g.mu, vals))
-    return np.array([np.dot(g.mu, col) for col in np.ascontiguousarray(vals.T)])
+    if g.n_vertices == 1:
+        return vals[0] * g.mu[0]
+    return np.vecdot(np.ascontiguousarray(vals.T), g.mu)
 
 
 def _w_power_arr(g: WeightedGraph, arr: np.ndarray, m: int, l: float,

@@ -33,7 +33,8 @@ class WeightedGraph:
     in the lexicographic vertex order; symmetry is structural.
     """
 
-    __slots__ = ("vertices", "mu", "edge_index", "edge_weight", "_pos", "_deg", "_hash")
+    __slots__ = ("vertices", "mu", "edge_index", "edge_weight", "_pos", "_deg", "_hash",
+                 "_plan")
 
     def __init__(self, vertices: Iterable[str], mu: Mapping[str, float],
                  edges: Iterable[tuple[str, str, float]]):
@@ -90,6 +91,7 @@ class WeightedGraph:
         self._deg.setflags(write=False)
         self._hash = hash((self.vertices, self.mu.tobytes(), self.edge_index.tobytes(),
                            self.edge_weight.tobytes()))
+        self._plan = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -119,6 +121,19 @@ class WeightedGraph:
         out = [self.vertices[b] for a, b in self.edge_index if a == i]
         out += [self.vertices[a] for a, b in self.edge_index if b == i]
         return sorted(out)
+
+    def _scatter_keys(self, k: int) -> np.ndarray:
+        """The plan of the batched scatter: a (2, K, n_edges) array, K >= k,
+        whose entry (side, j, e) is the bincount key j * n_vertices +
+        edge_index[e, side] of edge e in column j.  Built on first batched
+        use and rebuilt at the width of a wider batch; a cache, so not part
+        of == or hash."""
+        plan = self._plan
+        if plan is None or plan.shape[1] < k:
+            plan = np.arange(k)[:, None] * self.n_vertices + self.edge_index.T[:, None, :]
+            plan.setflags(write=False)
+            self._plan = plan
+        return plan
 
     def total_measure(self) -> float:
         """|V| in the measure sense: the sum of mu over all vertices."""

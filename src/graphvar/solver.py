@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -288,12 +289,6 @@ class _Column:
     stop: Optional[str] = None
 
 
-def _columns(batch: np.ndarray) -> np.ndarray:
-    """The columns of a batch as contiguous rows, so that a reduction on one
-    is bit for bit the 1-D one."""
-    return np.ascontiguousarray(batch.T)
-
-
 def _launch(prob: Problem, lam: float, starts: Sequence[np.ndarray]) -> list[_Column]:
     zs = [np.asarray(z0, dtype=float).copy() for z0 in starts]
     actions = prob.action_vec(lam, np.stack(zs, axis=1))
@@ -319,60 +314,72 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
     A column stops for Newton at the budget, once its residual is below
     NEWTON_SWITCH or when its line search stalls; it stops "captured" or
     "diverged" by the early exits of the module docstring.
+
+    The per-column arithmetic runs on (columns, n_dofs) arrays: each
+    reduction is one call over C-contiguous rows (vecdot is the BLAS dot of
+    the 1-D np.dot), and each update one array expression, so every column
+    gets the bits of stepping it alone.  The columns keep copies of their
+    rows, not views that would hold a whole batch.
     """
-    mu = prob.mu_dofs
-    run = [c for c in cols if c.stop is None]
-    for c in run:
-        if c.iters >= budget:
+    for c in cols:
+        if c.stop is None and c.iters >= budget:
             c.stop = "polish"
-    for zk, radius, act in balls:
-        near = [c for c in run if c.stop is None and c.action > act]
-        if near:
-            dists = prob.wnorm_vec(np.stack([c.z - zk for c in near], axis=1))
-            for c, dist in zip(near, dists):
-                if dist < radius:
-                    c.stop = "captured"
-    run = [c for c in run if c.stop is None]
+    run = [c for c in cols if c.stop is None]
     if not run:
         return
-    search = []
-    residuals = prob.residual_vec(lam, np.stack([c.z for c in run], axis=1))
-    for c, res in zip(run, _columns(residuals)):
-        if _sup(res) < NEWTON_SWITCH:
-            c.stop = "polish"
-            continue
-        grad = mu * res
-        gg = float(np.dot(grad, grad))
-        t = min(2.0 * c.t_warm, 1e6)
-        if c.prev_grad is not None:
-            dg = grad - c.prev_grad
-            dgg = float(np.dot(dg, dg))
-            if dgg > 0.0:
-                bb = float(np.dot(c.z - c.prev_z, dg)) / dgg
-                if np.isfinite(bb) and bb > 0.0:
-                    t = min(bb, 1e6)
-        search.append((c, grad, gg, t))
-    while search:
-        for c, _, _, t in search:
-            if t <= 1e-17:
-                c.stop = "polish"  # stalled line search; give Newton a chance
-        search = [s for s in search if s[0].stop is None]
-        if not search:
+    z = np.stack([c.z for c in run])
+    act = np.array([c.action for c in run])
+    near = [(rows, zk, radius) for zk, radius, ball_act in balls
+            if (rows := np.flatnonzero(act > ball_act)).size]
+    if near:
+        diffs = np.concatenate([z[rows] - zk for rows, zk, _ in near])
+        dists = prob.wnorm_vec(np.ascontiguousarray(diffs.T))
+        radii = np.concatenate([np.full(rows.size, radius) for rows, _, radius in near])
+        for i in np.concatenate([rows for rows, _, _ in near])[dists < radii]:
+            run[i].stop = "captured"
+        live = np.array([c.stop is None for c in run])
+        run, z, act = list(compress(run, live)), z[live], act[live]
+        if not run:
+            return
+    res = np.ascontiguousarray(prob.residual_vec(lam, np.ascontiguousarray(z.T)).T)
+    small = np.max(np.abs(res), axis=1) < NEWTON_SWITCH  # false for inf and NaN
+    for c in compress(run, small):
+        c.stop = "polish"
+    run, z, act, res = list(compress(run, ~small)), z[~small], act[~small], res[~small]
+    grad = prob.mu_dofs * res
+    gg = np.vecdot(grad, grad)
+    t = np.minimum(2.0 * np.array([c.t_warm for c in run]), 1e6)
+    warm = np.array([c.prev_grad is not None for c in run], dtype=bool)
+    if warm.any():
+        dg = grad[warm] - np.stack([c.prev_grad for c in compress(run, warm)])
+        dz = z[warm] - np.stack([c.prev_z for c in compress(run, warm)])
+        dgg = np.vecdot(dg, dg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.vecdot(dz, dg) / dgg
+        good = (dgg > 0.0) & np.isfinite(bb) & (bb > 0.0)
+        t[np.flatnonzero(warm)[good]] = np.minimum(bb[good], 1e6)
+    idx = np.arange(len(run))  # the columns still searching
+    while idx.size:
+        stalled = t[idx] <= 1e-17
+        for i in idx[stalled]:
+            run[i].stop = "polish"  # stalled line search; give Newton a chance
+        idx = idx[~stalled]
+        if not idx.size:
             break
-        cands = [c.z - t * grad for c, grad, _, t in search]
-        trials = prob.action_vec(lam, np.stack(cands, axis=1))
-        retry = []
-        for (c, grad, gg, t), cand, c_val in zip(search, cands, trials):
-            c_val = float(c_val)
-            if not (np.isfinite(c_val) and c_val <= c.action - ARMIJO_C * t * gg):
-                retry.append((c, grad, gg, 0.5 * t))
-                continue
-            c.prev_z, c.prev_grad = c.z, grad
-            c.z, c.action, c.t_warm = cand, c_val, t
+        ti = t[idx]
+        cand = z[idx] - ti[:, None] * grad[idx]
+        trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))
+        ok = np.isfinite(trial) & (trial <= act[idx] - ARMIJO_C * ti * gg[idx])
+        diverged = (trial < DIVERGE_ACTION) | (np.max(np.abs(cand), axis=1) > bound)
+        for j in np.flatnonzero(ok):
+            c = run[idx[j]]
+            c.prev_z, c.prev_grad = c.z, grad[idx[j]].copy()
+            c.z, c.action, c.t_warm = cand[j].copy(), float(trial[j]), float(ti[j])
             c.iters += 1
-            if c_val < DIVERGE_ACTION or float(np.max(np.abs(cand))) > bound:
+            if diverged[j]:
                 c.stop = "diverged"
-        search = retry
+        idx = idx[~ok]
+        t[idx] *= 0.5
 
 
 def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
@@ -592,8 +599,9 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
     before it.  A resolution that adds a capture ball relaunches every later
     start from its start vector, as the serial loop would have tested it
     against that ball from its first iteration.  The window of launched
-    starts doubles with each resolution that adds no ball and drops to one
-    when a ball is added; it sets only how much work is speculative.
+    starts doubles with each resolution that adds no ball and stays as it
+    is when a ball is added; it sets only how much work is speculative and
+    how many columns share a step.
     """
     bound = _start_bound(prob)
     budget = min(cfg.max_iters, DESCENT_BUDGET)
@@ -615,7 +623,7 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
             added = _capture_balls(prob, accepted[known:])
             if added:
                 balls += added
-                cols, window = [], 1
+                cols = []
             else:
                 window *= 2
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import graphvar as gv
 from graphvar.calculus import gamma_arr, laplacian_arr, p_laplacian_arr, poly_lap_apply_arr
+from graphvar.functionals import _integrate
 
-from conftest import ORDERS, SEEDS, weighted_graphs
+from conftest import ORDERS, SEEDS, random_graph, weighted_graphs
 
 
 def bits(x) -> np.ndarray:
@@ -80,3 +81,50 @@ def test_problem_batch_equals_columns(g, seed, lam):
         for method in (prob.residual_vec, prob.gradient_vec, prob.action_vec):
             assert same_columns(method(lam, z), [method(lam, c) for c in cols])
         assert same_columns(prob.wnorm_vec(z), [prob.wnorm_vec(c) for c in cols])
+
+
+def test_one_vertex_batch_keeps_signed_zeros():
+    # on one vertex np.dot is a product and keeps -0.0; a sum started at +0.0
+    # would not
+    g = gv.WeightedGraph(["a"], {"a": 1.3}, [])
+    vals = np.array([[-0.0, 0.0, -2.5, np.inf, -np.inf, np.nan, -1e-300]])
+    assert same_columns(_integrate(g, vals), [_integrate(g, c) for c in vals.T.copy()])
+    h = gv.VertexFunction(g, [2.0])
+    models = (gv.builtin_example_6_1(0.9, 1.1, r1=1.5, r2=2.5),
+              gv.builtin_example_6_2(1.6, r=3.5, support="a"))
+    probs = (gv.ProblemSpec(graph=g, m1=1, m2=2, p=2.0, q=3.0, h1=h, h2=h,
+                            nonlinearity=models[0]),
+             gv.ScalarProblem(graph=g, m=1, p=3.0, h=h, nonlinearity=models[1]))
+    signed = [-0.0, 0.0, -1e-300, 1e-300, -0.5, 2.0]
+    for prob in probs:
+        z = np.array([signed, signed[::-1]][:len(prob.components)])
+        cols = [z[:, j].copy() for j in range(z.shape[1])]
+        for lam in (0.0, 0.3):
+            assert same_columns(prob.action_vec(lam, z), [prob.action_vec(lam, c) for c in cols])
+        assert same_columns(prob.wnorm_vec(z), [prob.wnorm_vec(c) for c in cols])
+
+
+def test_scatter_plan_grows_and_keeps_the_column_bits():
+    # widths across the plan's growth, and a narrower batch after it, on two
+    # graphs in turn: the plan is per graph and sized to the widest batch
+    rng = np.random.default_rng(13)
+    graphs = (gv.grid3x3(), random_graph(rng, 6, 9))
+    widest = dict.fromkeys(graphs, 0)
+    for width in (1, 7, 64, 65, 130, 7):
+        for g in graphs:
+            u = np.concatenate([batch_of(rng, g.n_vertices)] * 17, axis=1)[:, :width]
+            v = rng.uniform(-1.0, 1.0, u.shape)
+            cols = range(width)
+            assert same_columns(laplacian_arr(g, u), [laplacian_arr(g, u[:, j].copy())
+                                                      for j in cols])
+            assert same_columns(gamma_arr(g, u, v),
+                                [gamma_arr(g, u[:, j].copy(), v[:, j].copy()) for j in cols])
+            assert same_columns(gamma_arr(g, u, u), gamma_arr(g, u, u.copy()).T)
+            assert same_columns(p_laplacian_arr(g, u, 3.0),
+                                [p_laplacian_arr(g, u[:, j].copy(), 3.0) for j in cols])
+            widest[g] = max(widest[g], width)
+            assert g._plan.shape == (2, widest[g], g.n_edges)
+    for g in graphs:  # the plan is a cache: not part of == or hash
+        fresh = gv.build_graph(gv.serialize(g))
+        assert fresh._plan is None and g._plan is not None
+        assert fresh == g and hash(fresh) == hash(g)

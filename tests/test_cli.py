@@ -295,6 +295,43 @@ def test_sweep_infinite_lambda_max_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_manifest_config_records_the_effective_configuration(tmp_path):
+    def config(name):
+        return json.loads((tmp_path / f"{name}.manifest.json").read_text())["config"]
+
+    # the builtin's flags: the two radii write the same report bytes, so
+    # only the config tells the runs apart
+    for radius in ("4", "6"):
+        assert main(["interval", "--reproduce", "example-6.2", "--radius", radius,
+                     "-o", str(tmp_path / f"r{radius}.json")]) == 0
+    four, six = config("r4.json"), config("r6.json")
+    assert (four["builtin"], four["radius"], six["radius"]) == ("example-6.2", 4, 6)
+    assert (four["r_tail"], four["x0"], six["x0"]) == (5.0, "v04_04", "v06_06")
+    assert (four["h0"], four["mu0"]) == (4.0, 1.0)
+    assert "r1" not in four
+
+    solve = ["solve", "--reproduce", "example-6.1", "--lambda", "0.3", "--seed", "7",
+             "--starts", "2"]
+    assert main(solve + ["--r1", "1.5", "-o", str(tmp_path / "a.json")]) == 0
+    assert main(solve + ["-o", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() != (tmp_path / "b.json").read_bytes()
+    assert (config("a.json")["r1"], config("b.json")["r1"]) == (1.5, 2.0)
+    assert config("a.json")["r2"] == 3.0 and "radius" not in config("a.json")
+
+    # sweep records the solver tolerances that solve does
+    assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.2",
+                 "--lambda-max", "0.4", "--steps", "2", "--starts", "2",
+                 "--max-iters", "500", "--grad-tol", "1e-9", "--distinct-tol", "1e-3",
+                 "-o", str(tmp_path / "sweep.csv")]) == 0
+    swept = config("sweep.csv")
+    assert {k: swept[k] for k in ("builtin", "starts", "max_iters", "grad_tol",
+                                  "distinct_tol")} == {
+        "builtin": "example-6.1", "starts": 2, "max_iters": 500, "grad_tol": 1e-9,
+        "distinct_tol": 1e-3}
+    solved = config("b.json")
+    assert set(solved) - set(swept) == {"lambda", "expect_three"}
+
+
 def test_missing_problem_flag_is_validation_error(tmp_path):
     assert main(["interval", "-o", str(tmp_path / "x.json")]) == 2
 

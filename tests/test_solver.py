@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 import graphvar as gv
 from graphvar import solver
 from graphvar.errors import BadParam, ConvergedToKnown, SingularExponent
+from graphvar.functionals import Problem
 from graphvar.problems import builtin_problem
 from graphvar.solver import solution_set_to_json
 
@@ -392,6 +393,22 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
             resolved += starts + 1
     # some start was relaunched after an earlier one added a capture ball
     assert len(launched) > resolved
+
+
+def test_work_of_one_solve(prep61, monkeypatch):
+    # the columns are the serial solve's work; the calls count the lockstep
+    # steps and line-search rounds that carry them (632 and 760 when the
+    # window dropped to one after every capture ball)
+    work = {}
+    for name in ("residual_vec", "action_vec"):
+        def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
+            calls, cols = work.get(_name, (0, 0))
+            work[_name] = (calls + 1, cols + (1 if z.ndim == 1 else z.shape[1]))
+            return _fn(self, lam, z)
+        monkeypatch.setattr(Problem, name, counted)
+    gv.find_three(prep61.problem, 0.3, gv.SolverConfig(seed=42),
+                  start_radius=1.0 + max(prep61.deltas))
+    assert work == {"residual_vec": (527, 4753), "action_vec": (583, 5161)}
 
 
 # Full solution-set text of two solves that reach deflation; a solve that
