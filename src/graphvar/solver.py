@@ -19,10 +19,9 @@ Distinctness of solutions is always measured in the product Sobolev norm;
 the deflation factor itself uses the plain euclidean distance, which keeps
 its gradient trivial.
 
-Multistart descents stop early, with ``converged=False``, once they can
-only end as a divergence or as a duplicate (single-start `minimize` has
-no such exits, and the Newton polish and deflation stop only past
-DIVERGE_NORM):
+Multistart descents and their Newton polishes stop early, with
+``converged=False``, once they can only end as a divergence or as a
+duplicate (single-start `minimize` has no such exits):
 
 - "diverged" once |z|inf > DIVERGE_SCALE * (1 + start_scale).  Over the four
   acceptance solves at seeds 0-9 and 42 (2,860 starts), no start that
@@ -35,8 +34,22 @@ DIVERGE_NORM):
   point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2), and the closest
   two distinct critical points of those solves lie 2.9% of either one's
   norm apart (a margin of 2.9).
+- "duplicate" when a polish iterate, tested before each Newton iteration,
+  lies in such a ball; Newton does not lower the action, so there is no
+  action condition.  Over the 865 polishes of those solves and of both
+  16-step sweeps at seed 42, the closest any iterate came to an accepted
+  point the polish did not end at was 0.996 ||z_k||_W (a margin of 99.6),
+  and each of the 715 that ended as duplicates entered the ball within
+  six iterations, so the exit skips 3,835 of their 6,488 iterations.
 
-A cut start would have ended unaccepted, so the points found are the same.
+A deflation attempt ends "stalled" after SLOW_LIMIT = 8 iterations in a
+row that do not halve the sup residual (one without a step does not).  Of
+the 514 attempts of those solves and sweeps, the 78 that converged went at
+most 4 such iterations in a row (a margin of 2), and the rule ends 264 of
+the 436 that did not, saving 6,385 of 14,329 iterations.  Otherwise the
+polish and deflation stop early only past DIVERGE_NORM.
+
+A cut run would have ended unaccepted, so the points found are the same.
 `find_three` records how every start and deflation attempt ended (one of
 OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
 
@@ -74,8 +87,11 @@ DEFLATION_POWER = 2.0
 DEFLATION_SHIFT = 1.0
 DIVERGE_SCALE = 100.0
 CAPTURE_REL = 1e-2
+SLOW_LIMIT = 8
 
-# How a multistart descent or a deflation attempt ended.
+# How a multistart descent or a deflation attempt ended; a "duplicate" is
+# either converged within distinct_tol of an accepted point or a polish cut
+# inside a capture ball, unconverged.
 OUTCOMES = ("new", "duplicate", "captured", "diverged", "stalled", "budget")
 
 
@@ -242,7 +258,8 @@ class _RawPoint:
     iterations: int
     converged: bool
     # one of OUTCOMES; find_three relabels a converged point that lies within
-    # distinct_tol of an accepted one from "new" to "duplicate"
+    # distinct_tol of an accepted one from "new" to "duplicate", and a polish
+    # cut inside a capture ball ends "duplicate" unconverged
     outcome: str
 
 
@@ -383,11 +400,11 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
 
 
 def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
-            groups: _Groups) -> _RawPoint:
+            groups: _Groups, balls: Sequence[_Ball]) -> _RawPoint:
     """The point a stopped descent ends at: polished by Newton, or as it
     stopped (its residual not evaluated)."""
     if col.stop == "polish":
-        return _newton_polish(prob, lam, col.z, cfg, col.iters, groups)
+        return _newton_polish(prob, lam, col.z, cfg, col.iters, groups, balls)
     if col.stop == "diverged":
         return _diverged(col.z, col.action, np.inf, col.iters)
     return _RawPoint(z=col.z, action=col.action, residual_sup=np.inf,
@@ -400,10 +417,11 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
     """Descend from z0, then polish with Newton: _descent_step on one column.
 
     The multistart phase passes the points it has accepted so far, which
-    turns on its two early exits (see the module docstring): "diverged" past
-    |z|inf = DIVERGE_SCALE * (1 + start_scale), and "captured" inside the
-    ball of relative radius CAPTURE_REL around a nontrivial accepted point
-    while the action is still above that point's.
+    turns on its early exits (see the module docstring): "diverged" past
+    |z|inf = DIVERGE_SCALE * (1 + start_scale), "captured" inside the ball
+    of relative radius CAPTURE_REL around a nontrivial accepted point while
+    the action is still above that point's, and a polish ended "duplicate"
+    inside such a ball.
     """
     bound, balls = DIVERGE_NORM, []
     if accepted is not None:
@@ -413,11 +431,12 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
         col, = _launch(prob, lam, [z0])
         while col.stop is None:
             _descent_step(prob, lam, [col], balls, bound, budget)
-        return _finish(prob, lam, col, cfg, groups)
+        return _finish(prob, lam, col, cfg, groups, balls)
 
 
 def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: int,
-                   stall_limit: int, tol: float, system, merit) -> _RawPoint:
+                   stall_limit: int, slow_limit: float, tol: float, system, merit,
+                   balls: Sequence[_Ball] = ()) -> _RawPoint:
     """Levenberg-damped Newton from z to the residual tolerance `tol`.
 
     Each iteration builds ``mat, rhs = system(z, res)`` and tries up to 25
@@ -430,25 +449,34 @@ def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: in
     noise floor.  The callers:
 
     - `_newton_polish`: the symmetrised Hessian, rhs -mu res, merit sup|res|;
-      iterations count on from the descent's, up to max_iters; stall limit 3.
+      iterations count on from the descent's, up to max_iters; stall limit 3;
+      no slow limit; the multistart's capture balls.
     - `_deflated_newton`: m J + res (grad m)^T, rhs -m res, merit
-      ||m res||_2; at most min(max_iters, 200) iterations; stall limit 4.
+      ||m res||_2; at most min(max_iters, 200) iterations; stall limit 4;
+      slow limit SLOW_LIMIT; no balls.
 
     The outcome is "new" within tol, else "budget" at the cap and "stalled"
-    after stall_limit iterations in a row without a step.  An iteration that
-    leaves |z|inf > DIVERGE_NORM ends the run "diverged".
+    after stall_limit iterations in a row without a step or slow_limit in a
+    row that do not halve the sup residual (one without a step does not).
+    An iteration that leaves |z|inf > DIVERGE_NORM ends the run "diverged".
+    An iterate inside a ball, tested before each iteration, ends the run
+    "duplicate" and unconverged, its action not evaluated (NaN).
     """
     nu = 1e-6
     target_soft = 0.3 * tol
     target_hard = max(1e-4 * tol, 1e-15)
-    stalls = 0
+    stalls = slow = 0
     fast = True
     with np.errstate(over="ignore", invalid="ignore"):
         res = prob.residual_vec(lam, z)
         rsup, val = _sup(res), merit(z, res)
-        while rsup > target_hard and iters < cap and stalls < stall_limit:
+        while (rsup > target_hard and iters < cap and stalls < stall_limit
+               and slow < slow_limit):
             if rsup <= target_soft and not fast:
                 break
+            if balls and _in_a_ball(prob, z, balls):
+                return _RawPoint(z=z, action=np.nan, residual_sup=rsup, iterations=iters,
+                                 converged=False, outcome="duplicate")
             mat, rhs = system(z, res)
             moved = False
             for _ in range(25):
@@ -469,6 +497,7 @@ def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: in
                     break
                 nu = max(nu, 1e-12) * 4.0
             stalls = 0 if moved else stalls + 1
+            slow = 0 if moved and fast else slow + 1
             iters += 1
             if float(np.max(np.abs(z))) > DIVERGE_NORM:
                 return _diverged(z, prob.action_vec(lam, z), rsup, iters)
@@ -478,13 +507,19 @@ def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: in
                      converged=rsup <= tol, outcome=outcome)
 
 
-def _newton_polish(prob: Problem, lam: float, z: np.ndarray,
-                   cfg: SolverConfig, iters: int, groups: _Groups) -> _RawPoint:
-    """Newton on the gradient from where a descent stopped (_damped_newton)."""
+def _in_a_ball(prob: Problem, z: np.ndarray, balls: Sequence[_Ball]) -> bool:
+    dists = prob.wnorm_vec(np.stack([z - zk for zk, _, _ in balls], axis=1))
+    return bool(np.any(dists < np.array([radius for _, radius, _ in balls])))
+
+
+def _newton_polish(prob: Problem, lam: float, z: np.ndarray, cfg: SolverConfig,
+                   iters: int, groups: _Groups, balls: Sequence[_Ball] = ()) -> _RawPoint:
+    """Newton on the gradient from where a descent stopped (_damped_newton),
+    ending "duplicate" inside any of `balls` (see the module docstring)."""
     return _damped_newton(
-        prob, lam, z, iters, cfg.max_iters, 3, cfg.grad_tol,
+        prob, lam, z, iters, cfg.max_iters, 3, np.inf, cfg.grad_tol,
         lambda y, res: (_hessian(prob, lam, y, groups), -(prob.mu_dofs * res)),
-        lambda y, res: _sup(res))
+        lambda y, res: _sup(res), balls)
 
 
 def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> CriticalPoint:
@@ -545,8 +580,8 @@ def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
         return np.linalg.norm(_deflation_factor(z, knowns)[0] * res)
 
     z = np.asarray(z0, dtype=float).copy()
-    return _damped_newton(prob, lam, z, 0, min(cfg.max_iters, 200), 4, cfg.grad_tol,
-                          system, merit)
+    return _damped_newton(prob, lam, z, 0, min(cfg.max_iters, 200), 4, SLOW_LIMIT,
+                          cfg.grad_tol, system, merit)
 
 
 def deflated_solve(prob: Problem, lam: float, known: Sequence[State],
@@ -618,7 +653,7 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
                 _descent_step(prob, lam, cols, balls, bound, budget)
                 continue
             known = len(accepted)
-            accept("start", lo, _finish(prob, lam, cols.pop(0), cfg, groups))
+            accept("start", lo, _finish(prob, lam, cols.pop(0), cfg, groups, balls))
             lo += 1
             added = _capture_balls(prob, accepted[known:])
             if added:
@@ -640,6 +675,8 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     lam = _check_lam(lam)
     _check_problem(prob)
     radius = float(start_radius) if start_radius is not None else 1.0 + prob.start_scale
+    if not 0.0 < radius < np.inf:
+        raise BadParam(f"the start radius must be positive and finite, got {radius}")
 
     groups = _jacobian_groups(prob)
     accepted: list[_RawPoint] = []

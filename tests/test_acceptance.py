@@ -316,3 +316,14 @@ def test_acceptance_outcome_labels_match_pins(key, lam):
     sset, _, _ = _cached_solve(key, lam)
     labels = [[phase, index, outcome] for phase, index, outcome, _ in sset.outcomes]
     assert labels == json.loads((PINS / "accept-outcomes.json").read_text())[f"{key}-{lam}"]
+
+
+# The deflation attempts of the seed-42 example-6.1 solves at lambda = 0.15
+# and 0.3: attempt 0 ends "stalled" after SLOW_LIMIT iterations that do not
+# halve the residual (it ran 31 and 24 iterations to the stall limit before
+# that exit), and attempt 1 finds the third point.
+@pytest.mark.parametrize("lam, stalled_after", [(0.15, 13), (0.3, 11)])
+def test_stalled_deflation_attempt_stops_early(lam, stalled_after):
+    sset, _, _ = _cached_solve("example-6.1", lam)
+    attempts = [o for o in sset.outcomes if o[0] == "deflation"]
+    assert attempts == [("deflation", 0, "stalled", stalled_after), ("deflation", 1, "new", 8)]

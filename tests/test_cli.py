@@ -428,6 +428,19 @@ def _scalar_problem_doc():
     }
 
 
+@pytest.mark.parametrize("delta", [-10.0, -1.0])
+def test_solve_start_radius_from_a_negative_delta_exits_2(tmp_path, capsys, delta):
+    # the start radius is 1 + delta: -9 and 0
+    ppath, out = tmp_path / "problem.json", tmp_path / "sol.json"
+    ppath.write_text(json.dumps({**_scalar_problem_doc(), "delta": delta}))
+    assert main(["solve", "--problem", str(ppath), "--lambda", "1.0", "--starts", "2",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "start radius must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("make_doc", [_coupled_problem_doc, _scalar_problem_doc])
 def test_malformed_problem_fields_exit_with_a_code(tmp_path, make_doc):
     # every top-level field replaced by a value of the wrong type or range

@@ -185,6 +185,26 @@ def test_start_next_to_an_accepted_point_is_captured(prep61, cfg, close_pair, mo
     assert builds == []
 
 
+def test_polish_inside_a_capture_ball_ends_duplicate(prep61, cfg, close_pair, monkeypatch):
+    # a point 0.1% (relative) from an accepted minimizer: the polish ends
+    # "duplicate" before its first Hessian, keeping the iterations it was
+    # handed; without the ball, minimize from the same point converges there
+    prob = prep61.problem
+    far = close_pair[0]
+    step = np.random.default_rng(0).uniform(-1.0, 1.0, prob.n_dofs)
+    z0 = far.z + 1e-3 * prob.wnorm_vec(far.z) / prob.wnorm_vec(step) * step
+    hessians = []
+    hessian = solver._hessian
+    monkeypatch.setattr(solver, "_hessian", lambda *a: hessians.append(1) or hessian(*a))
+    raw = solver._newton_polish(prob, 0.5, z0, cfg, 7, solver._jacobian_groups(prob),
+                                solver._capture_balls(prob, [far]))
+    assert (raw.outcome, raw.converged, raw.iterations) == ("duplicate", False, 7)
+    assert hessians == []
+    pt = gv.minimize(prob, 0.5, prob.unpack_state(z0), cfg)
+    assert pt.converged
+    assert prob.wnorm_vec(prob.pack_state(pt.state) - far.z) < cfg.distinct_tol
+
+
 def test_saddle_close_to_an_accepted_minimizer_is_not_captured(prep61, cfg, close_pair):
     # the saddle lies 3.0% (relative) from the far minimizer and above it in
     # action; a capture ball ten times CAPTURE_REL would swallow it
@@ -398,7 +418,9 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
 def test_work_of_one_solve(prep61, monkeypatch):
     # the columns are the serial solve's work; the calls count the lockstep
     # steps and line-search rounds that carry them (632 and 760 when the
-    # window dropped to one after every capture ball)
+    # window dropped to one after every capture ball); the residuals fell
+    # from 527 calls and 4,753 columns when polishes ran on inside a capture
+    # ball and stalled deflation attempts ran on to the stall limit
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -408,7 +430,7 @@ def test_work_of_one_solve(prep61, monkeypatch):
         monkeypatch.setattr(Problem, name, counted)
     gv.find_three(prep61.problem, 0.3, gv.SolverConfig(seed=42),
                   start_radius=1.0 + max(prep61.deltas))
-    assert work == {"residual_vec": (527, 4753), "action_vec": (583, 5161)}
+    assert work == {"residual_vec": (376, 4303), "action_vec": (583, 5161)}
 
 
 # Full solution-set text of two solves that reach deflation; a solve that
@@ -449,6 +471,13 @@ def test_solver_parameter_validation(p2, cfg):
         with pytest.raises(BadParam):
             gv.SolverConfig(seed=seed)
     assert gv.SolverConfig(seed=2 ** 128 - 1).seed == 2 ** 128 - 1
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -5.0, 0.0])
+def test_find_three_rejects_a_bad_start_radius(p2, cfg, radius):
+    # at radius 0 a deflation start sits on a known point
+    with pytest.raises(BadParam, match="start radius"):
+        gv.find_three(linear_problem(p2), 1.0, cfg, start_radius=radius)
 
 
 def test_scalar_problem_solver_path():
