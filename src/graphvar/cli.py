@@ -6,8 +6,9 @@ input files, the effective configuration, the tool version, and the seed;
 timestamps live only in the manifest, so reports themselves are byte-stable
 across reruns with identical inputs.
 
-Exit codes are frozen for scripting: 0 ok, 1 io/parse, 2 validation,
-3 hypotheses failed, 4 fewer than three solutions under --expect-three.
+Exit codes are frozen for scripting: 0 ok, 1 io/parse, 2 validation (an
+overflowing parameter too), 3 hypotheses failed, 4 fewer than three
+solutions under --expect-three.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import GraphVarError, BadParam, IoError, ParseError
 from .functionals import Problem
 from .graph import (VertexFunction, build_graph, function_from_doc, function_to_doc,
                     integrate)
-from .intervals import interval_finite, interval_locally_finite
+from .intervals import _labels, interval_finite, interval_locally_finite
 from .problems import PreparedProblem, builtin_problem, problem_from_doc
 from .solver import OUTCOMES, SolutionSet, SolverConfig, find_three, solution_set_to_json
 
@@ -164,7 +165,7 @@ def cmd_interval(args) -> int:
     mode = args.mode or prep.mode
     # --gamma/--delta for one component, --gamma1/--gamma2/... for two
     k = len(prep.problem.components)
-    sub = ("",) if k == 1 else ("1", "2")
+    sub = _labels(k)
     values = []
     for name, defaults in (("gamma", prep.gammas), ("delta", prep.deltas)):
         given = [getattr(args, name + s) for s in sub]
@@ -379,6 +380,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_IO
     except GraphVarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:  # a parameter too large for float arithmetic
+        print(f"error: a parameter is out of range, float arithmetic overflowed: {exc}",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

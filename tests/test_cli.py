@@ -441,6 +441,31 @@ def test_solve_start_radius_from_a_negative_delta_exits_2(tmp_path, capsys, delt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,want", [
+    (["--reproduce", "example-6.1", "--gamma1", "1e200"], "overflowed"),
+    (["--reproduce", "example-6.1", "--delta1", "1e200"], "overflowed"),
+    (["--reproduce", "example-6.2", "--delta", "1e200"], "overflowed"),
+    (1e60, "overflowed"),
+    (float("nan"), "omega must be positive and finite"),
+    (float("inf"), "omega must be positive and finite")],
+    ids=["gamma1", "delta1", "delta", "document-omega-1e60", "document-omega-nan",
+         "document-omega-inf"])
+def test_out_of_range_parameter_exits_2(tmp_path, capsys, flags, want):
+    # the large values overflow float arithmetic: gamma ** l, the report's F, w ** 6
+    if not isinstance(flags, list):  # the omega of a problem document's builtin
+        doc = _scalar_problem_doc()
+        doc["nonlinearity"]["params"]["omega"] = flags
+        ppath = tmp_path / "problem.json"
+        ppath.write_text(json.dumps(doc))
+        flags = ["--problem", str(ppath)]
+    out = tmp_path / "rep.json"
+    assert main(["interval", *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert want in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("make_doc", [_coupled_problem_doc, _scalar_problem_doc])
 def test_malformed_problem_fields_exit_with_a_code(tmp_path, make_doc):
     # every top-level field replaced by a value of the wrong type or range

@@ -85,13 +85,56 @@ def test_61_growth_bound_sampled(m61):
     assert gr.f1 == pytest.approx((4 * W1) ** 2 / 2.0, rel=1e-14)
 
 
-def test_61_antiderivative_cross_check_tiny(m61):
-    assert m61.cross_check_gap < 1e-9
+def _above(x):
+    """The smallest float above x: the low end of a range open at x."""
+    return float(np.nextafter(x, np.inf))
+
+
+def _builtin(name, omega, end):
+    """A builtin at `omega` with its tail exponents at the low or high end."""
+    low = end == "low"
+    if name == "example_6_1":
+        return gv.builtin_example_6_1(omega, omega, r1=_above(1.0) if low else 2.0,
+                                      r2=_above(1.0) if low else 3.0)
+    return gv.builtin_example_6_2(omega, r=_above(3.0) if low else 5.0)
+
+
+def _worst_quadrature_gap(F, dF, seams, nodes=64):
+    """Largest relative gap between F and the Gauss-Legendre integral of dF
+    from 0.  The panels are cut at the seams, at 1.5 and 3 times the last
+    seam and halfway between those, so no seam lies inside a panel and F is
+    compared inside every branch, not only at the seams a branch may not own."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    cuts = sorted(set(seams) | {0.0, 1.5 * max(seams), 3.0 * max(seams)})
+    cuts = sorted(cuts + [0.5 * (lo + hi) for lo, hi in zip(cuts[:-1], cuts[1:])])
+    total = worst = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        total += half * float(np.dot(ws, dF(mid + half * xs)))
+        ref = float(F(np.asarray(hi)))
+        worst = max(worst, abs(total - ref) / abs(ref))
+    return worst
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+@pytest.mark.parametrize("omega", [1e-8, 1e-3, 1.0, W1, 1e3, 1e20, 1e50])
+@pytest.mark.parametrize("name", ["example_6_1", "example_6_2"])
+def test_builtin_partials_integrate_to_F(name, omega, end):
+    # F on each positive half-axis is the integral of its partial from 0
+    m = _builtin(name, omega, end)
+    axes = [(lambda x: m.F(x, 0 * x), lambda x: m.Fs(x, 0 * x), m.seams_s)]
+    if m.seams_t:
+        axes.append((lambda x: m.F(0 * x, x), lambda x: m.Ft(0 * x, x), m.seams_t))
+    for F, dF, seams in axes:
+        assert _worst_quadrature_gap(F, dF, seams) <= 1e-8
 
 
 def test_61_param_validation():
-    with pytest.raises(BadParam):
-        gv.builtin_example_6_1(-1.0, W2)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(BadParam):
+            gv.builtin_example_6_1(bad, W2)
+        with pytest.raises(BadParam):
+            gv.builtin_example_6_1(W1, bad)
     with pytest.raises(BadParam):
         gv.builtin_example_6_1(W1, W2, r1=1.0)
     with pytest.raises(BadParam):
@@ -161,8 +204,9 @@ def test_62_zero_excluded(m62):
 
 
 def test_62_param_validation():
-    with pytest.raises(BadParam):
-        gv.builtin_example_6_2(0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(BadParam):
+            gv.builtin_example_6_2(bad)
     with pytest.raises(BadParam):
         gv.builtin_example_6_2(W, r=3.0)
     with pytest.raises(BadParam):

@@ -1,11 +1,16 @@
 """Source-level guards: the library's behaviour is set by its arguments
-alone, with no environment variables and no threads; and every name the
-benchmark's layer trace wraps still exists, with the arguments its hooks
+alone, with no environment variables and no threads; the bundled problems
+and their interval reports load nothing past what they run; and every name
+the benchmark's layer trace wraps still exists, with the arguments its hooks
 read at the positions they read them."""
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,31 @@ def test_library_reads_no_environment_and_starts_no_threads():
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if FORBIDDEN.search(line)]
     assert hits == []
+
+
+# builds both bundled problems and writes their interval reports into argv[1],
+# then prints the numpy submodules that are imported
+BUILD_AND_REPORT = """
+import json, sys
+from pathlib import Path
+from graphvar.cli import main
+from graphvar.problems import BUILTIN_KEYS
+for key in BUILTIN_KEYS:
+    assert main(["interval", "--reproduce", key, "-o", str(Path(sys.argv[1]) / key)]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy."))))
+"""
+
+
+def test_bundled_problems_and_reports_leave_numpy_polynomial_unimported(tmp_path):
+    # numpy loads numpy.polynomial on first use; the bundled models are closed
+    # branch formulas that need no quadrature when they are built
+    src = Path(graphvar.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", BUILD_AND_REPORT, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "numpy.random" in loaded  # the check sees lazily loaded submodules
+    assert "numpy.polynomial" not in loaded
 
 
 def _wrap_calls(node, owners, found):
