@@ -416,12 +416,13 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
                 ) -> _RawPoint:
     """Descend from z0, then polish with Newton: _descent_step on one column.
 
-    The multistart phase passes the points it has accepted so far, which
-    turns on its early exits (see the module docstring): "diverged" past
-    |z|inf = DIVERGE_SCALE * (1 + start_scale), "captured" inside the ball
-    of relative radius CAPTURE_REL around a nontrivial accepted point while
-    the action is still above that point's, and a polish ended "duplicate"
-    inside such a ball.
+    `minimize` passes no `accepted`; the tests pass the points accepted so
+    far, to run the starts in the serial order that `_multistart` reproduces
+    in lockstep, which turns on its early exits (see the module docstring):
+    "diverged" past |z|inf = DIVERGE_SCALE * (1 + start_scale), "captured"
+    inside the ball of relative radius CAPTURE_REL around a nontrivial
+    accepted point while the action is still above that point's, and a
+    polish ended "duplicate" inside such a ball.
     """
     bound, balls = DIVERGE_NORM, []
     if accepted is not None:

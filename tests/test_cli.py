@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_interval_boundary_deltas_exit3_report_written(tmp_path):
     assert doc["valid"] is False
     failed = {h["name"] for h in doc["hypotheses"] if not h["pass"]}
     assert "F3" in failed
+
+
+@pytest.mark.parametrize("flags", [["example-6.1", "--gamma1", "1e100"],
+                                   ["example-6.2", "--gamma", "1e60"]])
+def test_interval_huge_gamma_exits3_without_overflow(tmp_path, flags):
+    # the sampled box reaches far past the middle seams, where the middle
+    # branches' powers overflow; only the branch that wins may run there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["interval", "--reproduce", *flags, "-o", str(tmp_path / "r.json")]) == 3
 
 
 def test_interval_flag_falls_back_to_the_problem_value(tmp_path):

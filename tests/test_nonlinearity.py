@@ -62,6 +62,28 @@ def test_61_seam_continuity(m61):
             assert abs(hi - lo) <= 1e-6 * max(1.0, abs(hi))
 
 
+@pytest.mark.parametrize("path", ["scalar", "array"])
+def test_outer_seams_belong_to_the_declared_branch(path):
+    # example 6.1's middle branches are open at 4 w1 and 5 w2, so the tails
+    # own those seams; example 6.2's is closed at 6 w and owns it.  At the
+    # default parameters the middle and tail formulas give the same bits at
+    # these seams (example 6.2's always do at r = 5), so these parameters
+    # are ones where they differ.
+    m61 = gv.builtin_example_6_1(1.3, 1.3, r1=2.0, r2=2.5)
+    m62 = gv.builtin_example_6_2(0.7, r=4.0)
+    cases = [(lambda k: m61.Fs(k, 0 * k), 1.3, 3, 4, 2.0, "tail"),
+             (lambda k: m61.Ft(0 * k, k), 1.3, 4, 5, 2.5, "tail"),
+             (lambda k: m62.Fs(k, 0 * k), 0.7, 5, 6, 4.0, "middle")]
+    for fn, w, j, a, r, owner in cases:
+        k = a * w if path == "scalar" else np.array([a * w])
+        middle = k ** j - w ** j
+        tail = (a * w) ** r * k ** (j - r) - w ** j
+        assert not np.array_equal(middle, tail)
+        want = tail if owner == "tail" else middle
+        for x in (k, -k):
+            assert np.array_equal(fn(np.asarray(x)), want)
+
+
 def test_61_odd_in_each_variable(m61):
     rng = np.random.default_rng(31)
     s = rng.uniform(-70, 70, 200)
