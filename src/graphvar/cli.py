@@ -30,7 +30,8 @@ from .graph import (VertexFunction, build_graph, function_from_doc, function_to_
                     integrate)
 from .intervals import _labels, interval_finite, interval_locally_finite
 from .problems import PreparedProblem, builtin_problem, problem_from_doc
-from .solver import OUTCOMES, SolutionSet, SolverConfig, find_three, solution_set_to_json
+from .solver import (OUTCOMES, SolutionSet, SolverConfig, _stop_estimate, find_three,
+                     solution_set_to_json)
 
 TOOL_VERSION = "0.1.0"
 
@@ -209,12 +210,21 @@ def _solver_setup(args, prep) -> tuple[SolverConfig, Optional[float], dict]:
 
 def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
     """How the starts and the deflation attempts of a solve ended, counted
-    per outcome.  A note says that minimizer labels are local when a start
-    diverged or when the model's growth exponents are not below the
-    component exponents, so the action need not be bounded below."""
+    per outcome, and where the multistart stopped: after how many starts,
+    with N and W of its stopping rule, and the rule's estimate when the
+    rule stopped it ("rule") or null when it ran to --starts ("cap").  A
+    note says that minimizer labels are local when a start diverged or when
+    the model's growth exponents are not below the component exponents, so
+    the action need not be bounded below."""
     stats = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
     for phase, _, outcome, _ in sset.outcomes:
         stats[phase][outcome] += 1
+    starts = stats["start"]
+    n, w = sum(starts.values()) - starts["diverged"], starts["new"]
+    estimate = _stop_estimate(n, w)
+    stats["multistart"] = {"starts": sum(starts.values()), "n": n, "w": w,
+                           "stop": "cap" if estimate is None else "rule",
+                           "estimate": estimate}
     reasons = []
     if stats["start"]["diverged"]:
         reasons.append(f"{stats['start']['diverged']} start(s) diverged, so the "
@@ -306,7 +316,9 @@ def _add_problem_args(sub) -> None:
 
 
 def _add_solver_args(sub) -> None:
-    sub.add_argument("--starts", type=int, default=64)
+    sub.add_argument("--starts", type=int, default=64,
+                     help="the last start index (default 64): a cap, the multistart "
+                          "stops earlier once its remaining starts can only repeat")
     sub.add_argument("--max-iters", type=int, default=10000)
     sub.add_argument("--grad-tol", type=float, default=1e-8)
     sub.add_argument("--distinct-tol", type=float, default=1e-4)

@@ -173,10 +173,19 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float
     return 0.5 * (a + b), fc, fd
 
 
+def _grid_argmax(vals: np.ndarray) -> tuple:
+    """Index of the largest grid value; an overflowed grid (inf or NaN at
+    the maximum) raises OverflowError, which the CLI reports as exit 2."""
+    i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    if not np.isfinite(vals[i]):
+        raise OverflowError(f"the sampled maximum over the box is {vals[i]}")
+    return i
+
+
 def _grid_max_1d(fn, lo: float, hi: float, n: int) -> float:
     xs = np.linspace(lo, hi, n)
     vals = np.asarray(fn(xs), dtype=float)
-    i = int(np.argmax(vals))
+    i, = _grid_argmax(vals)
     h = (hi - lo) / (n - 1)
     a, b = max(lo, xs[i] - h), min(hi, xs[i] + h)
     scalar_fn = lambda x: float(fn(np.asarray(x)))
@@ -188,7 +197,7 @@ def _grid_max_2d(fn, s_max: float, t_max: float, n: int) -> float:
     s = np.linspace(-s_max, s_max, n)
     t = np.linspace(-t_max, t_max, n)
     vals = np.asarray(fn(s[:, None], t[None, :]), dtype=float)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    i, j = _grid_argmax(vals)
     best = float(vals[i, j])
     bs, bt = float(s[i]), float(t[j])
     hs, ht = 2.0 * s_max / (n - 1), 2.0 * t_max / (n - 1)
@@ -216,9 +225,12 @@ def box_max_F(model: NonlinearityModel, s_max: float, t_max: float) -> float:
 
 
 def _box_grid_max(model: NonlinearityModel, s_max: float, t_max: float, n: int) -> float:
-    if t_max == 0.0:
-        return _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)), -s_max, s_max, n)
-    return _grid_max_2d(model.F, s_max, t_max, n)
+    # a grid value past the float range is inf (inf - inf is NaN) and fails
+    # the maximum's finiteness check, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t_max == 0.0:
+            return _grid_max_1d(lambda s: model.F(s, np.zeros_like(s)), -s_max, s_max, n)
+        return _grid_max_2d(model.F, s_max, t_max, n)
 
 
 def envelope_max(model: NonlinearityModel, rho_max: float) -> float:

@@ -127,6 +127,20 @@ def test_interval_huge_gamma_exits3_without_overflow(tmp_path, flags):
         assert main(["interval", "--reproduce", *flags, "-o", str(tmp_path / "r.json")]) == 3
 
 
+def test_interval_overflowing_box_maximum_exits_2_without_a_warning(tmp_path, capsys):
+    # with r2 = 1.01 the winning tail branch itself overflows on the
+    # 1e100-wide box grid; the grid maximum is checked, not warned about
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["interval", "--reproduce", "example-6.1", "--r2", "1.01",
+                     "--gamma2", "1e100", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflowed" in err
+    assert not out.exists()
+
+
 def test_interval_flag_falls_back_to_the_problem_value(tmp_path):
     prep = gv.builtin_problem("example-6.1")
     bare, one = tmp_path / "bare.json", tmp_path / "one.json"
@@ -182,6 +196,21 @@ def test_solve_manifest_counts_every_start_and_attempt(tmp_path, monkeypatch):
         json.loads(out.read_text())["points"])
     assert stats["start"]["diverged"] > 0  # r1 = 2 = p: unbounded below
     assert '"minimizer" labels are local' in stats["note"]
+    # too few starts for the stopping rule: it ran to --starts
+    assert stats["multistart"] == {
+        "starts": 7, "n": 7 - stats["start"]["diverged"], "w": stats["start"]["new"],
+        "stop": "cap", "estimate": None}
+
+
+def test_solve_manifest_records_where_the_stopping_rule_stopped(tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--reproduce", "example-6.2", "--lambda", "1.0",
+                 "--seed", "42", "-o", str(out)]) == 0
+    stats = json.loads((tmp_path / "sol.json.manifest.json").read_text())["stats"]
+    # two points and 17 starts that did not diverge: 2 * 16 / 13 < 2.5
+    assert stats["multistart"] == {"starts": 17, "n": 17, "w": 2, "stop": "rule",
+                                   "estimate": 32 / 13}
+    assert sum(stats["start"].values()) == 17
 
 
 def test_manifest_notes_local_labels_from_the_growth_exponents(tmp_path):
@@ -289,6 +318,7 @@ def test_sweep_rows_and_validation(tmp_path):
     stats = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["stats"]
     assert [s["lambda"] for s in stats] == [0.2, 0.4]
     assert all(sum(s["start"].values()) == 8 + 1 for s in stats)
+    assert all(s["multistart"]["starts"] == 8 + 1 for s in stats)
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.2",
                  "--lambda-max", "0.4", "--steps", "1", "-o", str(out)]) == 2
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.4",

@@ -386,20 +386,28 @@ def test_find_three_repeats_byte_identical(prep61):
 
 
 def serial_multistart(prob, lam, cfg, groups, radius, accepted, accept):
-    """The reference for the lockstep multistart: one start after another."""
+    """The reference for the lockstep multistart: one start after another,
+    until the stopping rule stops."""
+    n = w = 0
     for i in range(cfg.starts + 1):
         z0 = solver._start_vector(prob, cfg, i, radius)
-        accept("start", i, solver._minimize_z(prob, lam, z0, cfg, groups, accepted))
+        raw = solver._minimize_z(prob, lam, z0, cfg, groups, accepted)
+        accept("start", i, raw)
+        n, w = n + (raw.outcome != "diverged"), w + (raw.outcome == "new")
+        if solver._stop_estimate(n, w) is not None:
+            return
 
 
 def test_lockstep_multistart_equals_serial_loop(monkeypatch):
-    launched, resolved = [], 0
+    launched, resolved, stopped = [], 0, 0
     launch = solver._launch
-    for key, lam, starts in (("example-6.1", 0.3, 8), ("example-6.1", 0.5, 8),
-                             ("example-6.2", 1.0, 4)):
+    for key, lam, starts, seeds in (("example-6.1", 0.3, 8, (0, 3, 42)),
+                                    ("example-6.1", 0.5, 8, (0, 3, 42)),
+                                    ("example-6.2", 1.0, 4, (0, 3, 42)),
+                                    ("example-6.2", 1.0, 20, (42,))):
         prep = builtin_problem(key)
         radius = 1.0 + max(prep.deltas)
-        for seed in (0, 3, 42):
+        for seed in seeds:
             cfg = gv.SolverConfig(seed=seed, starts=starts)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_launch",
@@ -410,17 +418,53 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
                 serial = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
             assert solution_set_to_json(lockstep) == solution_set_to_json(serial), (key, seed)
             assert lockstep.outcomes == serial.outcomes, (key, seed)
-            resolved += starts + 1
+            ran = sum(phase == "start" for phase, _, _, _ in lockstep.outcomes)
+            resolved += ran
+            stopped += ran < starts + 1
     # some start was relaunched after an earlier one added a capture ball
     assert len(launched) > resolved
+    assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
-def test_work_of_one_solve(prep61, monkeypatch):
-    # the columns are the serial solve's work; the calls count the lockstep
-    # steps and line-search rounds that carry them (632 and 760 when the
-    # window dropped to one after every capture ball); the residuals fell
-    # from 527 calls and 4,753 columns when polishes ran on inside a capture
-    # ball and stalled deflation attempts ran on to the stall limit
+@pytest.mark.parametrize("w, stop", [(1, 8), (2, 17), (3, 30)])
+def test_stopping_rule_stops_where_its_estimate_drops_below_w_plus_half(w, stop):
+    assert [solver._stop_estimate(n, w) is None for n in (stop - 1, stop)] == [True, False]
+    assert solver._stop_estimate(stop, w) < w + 0.5 <= w * (stop - 2) / (stop - w - 3)
+
+
+def test_stopping_rule_never_stops_before_a_point_is_found():
+    assert all(solver._stop_estimate(n, 0) is None for n in range(1000))
+
+
+def test_diverged_starts_do_not_count_toward_the_stop(prep61):
+    # 2 points from the starts stop the rule at N = 17, which the
+    # example-6.1 solve reaches only at start 63: most of its starts diverge
+    sset = gv.find_three(prep61.problem, 0.15, gv.SolverConfig(seed=42),
+                         start_radius=1.0 + max(prep61.deltas))
+    starts = [outcome for phase, _, outcome, _ in sset.outcomes if phase == "start"]
+    assert (len(starts), starts.count("new"), starts.count("diverged")) == (64, 2, 47)
+    assert starts[-1] != "diverged"
+
+
+def test_starts_below_the_rule_all_resolve(prep61):
+    # with 4 as the last start index the rule, which first stops at N = 8,
+    # cannot cut the multistart
+    sset = gv.find_three(prep61.problem, 0.3, gv.SolverConfig(seed=42, starts=4),
+                         start_radius=1.0 + max(prep61.deltas))
+    assert [index for phase, index, _, _ in sset.outcomes if phase == "start"] == [
+        0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("key, lam, want", [
+    ("example-6.1", 0.3, {"residual_vec": (309, 4268), "action_vec": (548, 5115)}),
+    ("example-6.2", 1.0, {"residual_vec": (685, 5147), "action_vec": (983, 4006)})])
+def test_work_of_one_solve(key, lam, want, monkeypatch):
+    # the columns are the serial solve's work plus the descents of starts
+    # relaunched after a capture ball; the calls count the lockstep steps
+    # and line-search rounds that carry them.  Both counts fall when fewer
+    # starts are launched past the stopping rule: from 376 residual calls
+    # and 4,303 columns on example-6.1 and from 1,031 and 8,868 on
+    # example-6.2 when all 65 starts ran and the window doubled
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -428,9 +472,10 @@ def test_work_of_one_solve(prep61, monkeypatch):
             work[_name] = (calls + 1, cols + (1 if z.ndim == 1 else z.shape[1]))
             return _fn(self, lam, z)
         monkeypatch.setattr(Problem, name, counted)
-    gv.find_three(prep61.problem, 0.3, gv.SolverConfig(seed=42),
-                  start_radius=1.0 + max(prep61.deltas))
-    assert work == {"residual_vec": (376, 4303), "action_vec": (583, 5161)}
+    prep = builtin_problem(key)
+    gv.find_three(prep.problem, lam, gv.SolverConfig(seed=42),
+                  start_radius=1.0 + max(prep.deltas))
+    assert work == want
 
 
 # Full solution-set text of two solves that reach deflation; a solve that
