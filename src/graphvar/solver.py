@@ -56,17 +56,18 @@ OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
 The multistart stops once its remaining starts can only repeat, by the
 Bayesian rule of Boender & Rinnooy Kan (1987): after N starts that did not
 diverge have found W points, W >= 1, it stops when N > W + 2 and the
-estimate W (N - 1) / (N - W - 2) of the number of points is below
-W + 0.5 (N = 8 for W = 1, 17 for W = 2); ``SolverConfig.starts`` is the
-last start index it may reach.  Diverged starts are left out of N: counted,
-the rule would stop before the second point in 18 of the 44 solves below.
-In those solves the rule stopped 13 of them: all 11 on example 6.2 after
-17 starts, whose last new point came at start 4 at the latest (12 starts
-that did not diverge repeated before the stop), and 2 on example 6.1, at
-53 and 64 starts, after new points at starts 4 and 10 (13 repeats).  The
-other 31 ran to start 64, with their last new point at start 30 at the
-latest.  No solve lost a point, and the starts it skips held 36,944 of
-121,147 descent iterations.
+posterior estimate W (N - 1) / (N - W - 2) of the number of points is
+below W + 0.5 (N = 8 for W = 1, 17 for W = 2); ``SolverConfig.starts`` is
+the last start index it may reach, and no start is launched past the
+rule's horizon (see _multistart).  Diverged starts are left out of N:
+counted, the rule would stop before the second point in 18 of the 44
+acceptance solves at seeds 0-9 and 42.  The rule stops 13 of them: all 11
+on example 6.2 after 17 starts, whose last new point came at start 4 at
+the latest (12 or more starts that did not diverge repeated before the
+stop), and 2 on example 6.1, at 53 and 64 starts, after new points at
+starts 4 and 10 (14 and 13 repeats).  The other 31 run to start 64, with
+their last new point at start 30 at the latest.  No solve loses a point,
+and the starts skipped held 36,944 of their 121,147 descent iterations.
 
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k).  The starts descend in lockstep as the
@@ -640,13 +641,10 @@ def _perturbation(cfg: SolverConfig, attempt: int, size: int, radius: float) -> 
 
 
 def _stop_estimate(n: int, w: int) -> Optional[float]:
-    """The stopping rule of Boender & Rinnooy Kan (1987): after N searches
-    found W distinct points, the posterior estimate of the number of points
-    is W (N - 1) / (N - W - 2); the multistart stops once W >= 1, N > W + 2
-    and the estimate is below W + 0.5.  N counts the resolved starts that
-    did not diverge and W those that found a new point.  Returns the
-    estimate where the rule stops, else None: at N = 8 for W = 1, at
-    N = 17 for W = 2 and at N = 30 for W = 3."""
+    """The multistart's stopping rule (see the module docstring) after n
+    resolved starts that did not diverge found w new points: the estimate
+    W (N - 1) / (N - W - 2) where the rule stops, else None.  It first
+    stops at N = 8 for W = 1, 17 for W = 2 and 30 for W = 3."""
     if w >= 1 and n > w + 2 and (est := w * (n - 1) / (n - w - 2)) < w + 0.5:
         return est
     return None
@@ -696,10 +694,9 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
     balls = _capture_balls(prob, accepted)
     cols: list[_Column] = []  # the launched descents of starts lo, lo + 1, ...
     lo = n = w = 0  # starts resolved, those not diverged, those that found a point
-    window = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while lo <= cfg.starts:
-            end = _horizon(lo, n, w, cols) if w else lo + window
+            end = _horizon(lo, n, w, cols) if w else lo + 2 ** lo
             pending = range(lo + len(cols), min(end, cfg.starts + 1))
             if pending:
                 cols += _launch(prob, lam, [_start_vector(prob, cfg, i, radius)
@@ -717,7 +714,6 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
             if added:
                 balls += added
                 cols = []
-            window *= 2
 
 
 def find_three(prob: Problem, lam: float, cfg: SolverConfig,

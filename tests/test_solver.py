@@ -426,14 +426,14 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
     assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
-@pytest.mark.parametrize("w, stop", [(1, 8), (2, 17), (3, 30)])
-def test_stopping_rule_stops_where_its_estimate_drops_below_w_plus_half(w, stop):
-    assert [solver._stop_estimate(n, w) is None for n in (stop - 1, stop)] == [True, False]
-    assert solver._stop_estimate(stop, w) < w + 0.5 <= w * (stop - 2) / (stop - w - 3)
-
-
-def test_stopping_rule_never_stops_before_a_point_is_found():
-    assert all(solver._stop_estimate(n, 0) is None for n in range(1000))
+@pytest.mark.parametrize("w, stop", [(0, None), (1, 8), (2, 17), (3, 30)])
+def test_stopping_rule_first_stops_at(w, stop):
+    # from N = stop on, W (N - 1) / (N - W - 2) < W + 0.5; a multistart that
+    # found no point never stops early
+    stops = [n for n in range(200) if solver._stop_estimate(n, w) is not None]
+    assert stops == ([] if stop is None else list(range(stop, 200)))
+    if stop is not None:
+        assert solver._stop_estimate(stop, w) == w * (stop - 1) / (stop - w - 2)
 
 
 def test_diverged_starts_do_not_count_toward_the_stop(prep61):
@@ -446,25 +446,14 @@ def test_diverged_starts_do_not_count_toward_the_stop(prep61):
     assert starts[-1] != "diverged"
 
 
-def test_starts_below_the_rule_all_resolve(prep61):
-    # with 4 as the last start index the rule, which first stops at N = 8,
-    # cannot cut the multistart
-    sset = gv.find_three(prep61.problem, 0.3, gv.SolverConfig(seed=42, starts=4),
-                         start_radius=1.0 + max(prep61.deltas))
-    assert [index for phase, index, _, _ in sset.outcomes if phase == "start"] == [
-        0, 1, 2, 3, 4]
-
-
-@pytest.mark.parametrize("key, lam, want", [
-    ("example-6.1", 0.3, {"residual_vec": (309, 4268), "action_vec": (548, 5115)}),
-    ("example-6.2", 1.0, {"residual_vec": (685, 5147), "action_vec": (983, 4006)})])
-def test_work_of_one_solve(key, lam, want, monkeypatch):
+def test_work_of_one_solve(monkeypatch):
     # the columns are the serial solve's work plus the descents of starts
     # relaunched after a capture ball; the calls count the lockstep steps
-    # and line-search rounds that carry them.  Both counts fall when fewer
-    # starts are launched past the stopping rule: from 376 residual calls
-    # and 4,303 columns on example-6.1 and from 1,031 and 8,868 on
-    # example-6.2 when all 65 starts ran and the window doubled
+    # and line-search rounds that carry them.  Both fell when starts past
+    # the stopping rule stopped being launched: from 376 residual calls and
+    # 4,303 columns on example-6.1 and from 1,031 and 8,868 on example-6.2
+    # when all 65 starts ran and the window doubled.  The example-6.2 counts
+    # are the same with one BLAS thread and with the default pool.
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -472,10 +461,14 @@ def test_work_of_one_solve(key, lam, want, monkeypatch):
             work[_name] = (calls + 1, cols + (1 if z.ndim == 1 else z.shape[1]))
             return _fn(self, lam, z)
         monkeypatch.setattr(Problem, name, counted)
-    prep = builtin_problem(key)
-    gv.find_three(prep.problem, lam, gv.SolverConfig(seed=42),
-                  start_radius=1.0 + max(prep.deltas))
-    assert work == want
+    for key, lam, want in (
+            ("example-6.1", 0.3, {"residual_vec": (309, 4268), "action_vec": (548, 5115)}),
+            ("example-6.2", 1.0, {"residual_vec": (685, 5147), "action_vec": (983, 4006)})):
+        prep = builtin_problem(key)
+        work.clear()
+        gv.find_three(prep.problem, lam, gv.SolverConfig(seed=42),
+                      start_radius=1.0 + max(prep.deltas))
+        assert work == want, key
 
 
 # Full solution-set text of two solves that reach deflation; a solve that
@@ -490,6 +483,9 @@ def test_find_three_matches_pin(key, lam, seed, starts):
     sset = gv.find_three(prep.problem, lam, gv.SolverConfig(seed=seed, starts=starts),
                          start_radius=1.0 + max(prep.deltas))
     assert solution_set_to_json(sset) == (PINS / f"solve-{key}.json").read_text()
+    # the stopping rule first stops at N = 8, past these caps: every start resolves
+    assert [index for phase, index, _, _ in sset.outcomes if phase == "start"] == list(
+        range(starts + 1))
 
 
 def test_solver_rejects_exponents_below_two(p2, cfg):
