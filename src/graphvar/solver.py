@@ -651,10 +651,10 @@ def _stop_estimate(n: int, w: int) -> Optional[float]:
 
 
 def _horizon(lo: int, n: int, w: int, cols: Sequence[_Column]) -> int:
-    """How many starts to launch once one has found a point (w >= 1), with
-    starts 0 .. lo - 1 resolved (n of them not diverged) and `cols` those
-    launched after them: up to where the rule would stop if every later
-    start that does not diverge repeated a known point.
+    """One past the last start to launch once a start has found a point
+    (w >= 1), with starts 0 .. lo - 1 resolved (n of them not diverged) and
+    `cols` those launched after them: where the rule would stop if every
+    later start that does not diverge repeated a known point.
 
     A launched column that stopped "diverged" or "captured" counts as
     resolved, since it can end no other way.  Each of the others, and each
