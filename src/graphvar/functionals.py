@@ -26,12 +26,15 @@ gradient) used by the numerical solver: component i occupies entries
 measure, pointwise residuals do not.  The vector methods also take a batch
 of k states as the columns of an (n_dofs, k) array and then return k
 values, or an (n_dofs, k) array; column j equals, bit for bit, the call on
-column j alone.
+column j alone.  The residual's reach, m hops per component, also fixes
+the solver's compressed Jacobians; a problem builds that pattern
+(`jacobian_pattern`) on first use and keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -150,6 +153,17 @@ class Problem:
                 out[1] = out[1] - lam * model.Ft_on(g, s, t)
         return out[0] if len(out) == 1 else np.concatenate(out)
 
+    @cached_property
+    def jacobian_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, colours) of the compressed Jacobians of residual_vec: the
+        `_sparsity` mask and its greedy `_colour_columns`.  Built on first
+        use and kept, read-only; a cache, so not part of == or hash."""
+        mask = _sparsity(self)
+        colour = _colour_columns(mask)
+        mask.setflags(write=False)
+        colour.setflags(write=False)
+        return mask, colour
+
     def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
         """Euclidean gradient of action_vec: the residual weighted by mu."""
         return _along(self.mu_dofs, z) * self.residual_vec(lam, z)
@@ -174,6 +188,53 @@ class Problem:
     @property
     def solver_exponents(self) -> tuple[float, ...]:
         return tuple(c.l for c in self.components)
+
+
+def _hops(m: int) -> int:
+    """Reach of an order-m residual row: L_{m,p} couples vertices m hops
+    apart for even m and m + 1 hops apart for odd m (the coefficient
+    |grad D^k u|^(p-2) reaches one hop past the gradient)."""
+    return m if m % 2 == 0 else m + 1
+
+
+def _sparsity(prob: Problem) -> np.ndarray:
+    """Boolean n_dofs x n_dofs mask: entry (i, j) is set when residual row i
+    depends on coordinate j.
+
+    Each component couples within its operator's reach, the boolean power
+    of the 0/1 adjacency with the identity, thresholded after each hop so
+    the products count exactly at any BLAS thread count; with two
+    components a row also holds the other component at the same vertex,
+    which any pointwise nonlinearity can couple.
+    """
+    g = prob.graph
+    eye = np.eye(g.n_vertices, dtype=bool)
+    step = np.eye(g.n_vertices)
+    a, b = g.edge_index.T
+    step[a, b] = step[b, a] = 1.0
+    reach = []
+    for c in prob.components:
+        r = eye
+        for _ in range(_hops(c.m)):
+            r = r @ step > 0.0
+        reach.append(r)
+    k = len(reach)
+    return np.block([[reach[c] if d == c else eye for d in range(k)] for c in range(k)])
+
+
+def _colour_columns(mask: np.ndarray) -> np.ndarray:
+    """Greedy colouring of the column-intersection graph in column order:
+    columns that share a row get different colours."""
+    cols = mask.astype(float)
+    share = cols.T @ cols > 0.0
+    colour = np.full(len(mask), -1, dtype=np.intp)
+    for j in range(len(mask)):
+        taken = set(colour[share[j]].tolist())
+        c = 0
+        while c in taken:
+            c += 1
+        colour[j] = c
+    return colour
 
 
 def ProblemSpec(*, graph: WeightedGraph, m1: int, m2: int, p: float, q: float,

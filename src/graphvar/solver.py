@@ -4,12 +4,15 @@ Strategy: multistart gradient descent with Armijo backtracking drives each
 random start into a basin; once the residual is small a damped Newton polish
 (finite-difference Hessian, Levenberg damping) finishes to the target
 tolerance.  Every Newton Jacobian and Hessian is a compressed central
-difference: a residual row depends only on coordinates within m hops of its
-vertex (m + 1 for odd m), so columns that share no row are perturbed
-together, one greedy colour group per residual pair, with the same values
-as one column at a time; all pairs of a build are one batched residual
-call.  Additional critical points, including saddle-type ones, come
-from Newton iterations on the deflated residual
+difference (_fd_jacobian) on the pattern the problem owns,
+``Problem.jacobian_pattern``: a residual row depends only on coordinates
+within m hops of its vertex (m + 1 for odd m), so columns that share no row
+are perturbed together, one greedy colour per residual pair, with the same
+values as one column at a time; all pairs of a build are one batched
+residual call.  Each problem builds its pattern once, on the first
+Jacobian, and every later solve on it reuses the pattern.  Additional
+critical points, including saddle-type ones, come from Newton iterations
+on the deflated residual
 
     R(z) = G(z) * prod_k (1 / ||z - z_k||^2 + 1),
 
@@ -184,69 +187,16 @@ def _sup(res: np.ndarray) -> float:
     return val if np.isfinite(val) else np.inf
 
 
-def _hops(m: int) -> int:
-    """Reach of an order-m residual row: L_{m,p} couples vertices m hops
-    apart for even m and m + 1 hops apart for odd m (the coefficient
-    |grad D^k u|^(p-2) reaches one hop past the gradient)."""
-    return m if m % 2 == 0 else m + 1
-
-
-def _sparsity(prob: Problem) -> np.ndarray:
-    """Boolean n_dofs x n_dofs mask: entry (i, j) is set when residual row i
-    depends on coordinate j.
-
-    Each component couples within its operator's reach, the boolean power
-    of the 0/1 adjacency with the identity, thresholded after each hop so
-    the products count exactly at any BLAS thread count; with two
-    components a row also holds the other component at the same vertex,
-    which any pointwise nonlinearity can couple.
-    """
-    g = prob.graph
-    eye = np.eye(g.n_vertices, dtype=bool)
-    step = np.eye(g.n_vertices)
-    a, b = g.edge_index.T
-    step[a, b] = step[b, a] = 1.0
-    reach = []
-    for c in prob.components:
-        r = eye
-        for _ in range(_hops(c.m)):
-            r = r @ step > 0.0
-        reach.append(r)
-    k = len(reach)
-    return np.block([[reach[c] if d == c else eye for d in range(k)] for c in range(k)])
-
-
-def _colour_columns(mask: np.ndarray) -> np.ndarray:
-    """Greedy colouring of the column-intersection graph in column order:
-    columns that share a row get different colours."""
-    cols = mask.astype(float)
-    share = cols.T @ cols > 0.0
-    colour = np.full(len(mask), -1, dtype=np.intp)
-    for j in range(len(mask)):
-        taken = set(colour[share[j]].tolist())
-        c = 0
-        while c in taken:
-            c += 1
-        colour[j] = c
-    return colour
-
-
-# (sparsity mask, column colours) of the compressed Jacobians.
-_Groups = tuple[np.ndarray, np.ndarray]
-
-
-def _jacobian_groups(prob: Problem) -> _Groups:
-    mask = _sparsity(prob)
-    return mask, _colour_columns(mask)
-
-
-def _fd_jacobian(fn, z: np.ndarray, h: float, groups: _Groups) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, compressed by column
-    colours (Curtis, Powell & Reid 1974): no two columns of a colour share a
-    row of the mask, so one residual pair per colour recovers all of its
-    columns, bit for bit as if each were perturbed alone.  `fn` takes every
-    pair at once, as the columns of one batch."""
-    mask, colour = groups
+def _fd_jacobian(prob: Problem, fn, z: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian at z, with step FD_SCALE (1 + ||z||), of
+    a map with the reach of prob's residual, compressed by the column
+    colours of prob.jacobian_pattern (Curtis, Powell & Reid 1974): no two
+    columns of a colour share a row of the mask, so one residual pair per
+    colour recovers all of its columns, bit for bit as if each were
+    perturbed alone.  `fn` takes every pair at once, as the columns of one
+    batch."""
+    mask, colour = prob.jacobian_pattern
+    h = FD_SCALE * (1.0 + float(np.linalg.norm(z)))
     k = int(colour.max()) + 1
     on = colour[:, None] == np.arange(k)
     col = z[:, None]
@@ -256,14 +206,13 @@ def _fd_jacobian(fn, z: np.ndarray, h: float, groups: _Groups) -> np.ndarray:
     return np.where(mask, diff[:, colour], 0.0)
 
 
-def _hessian(prob: Problem, lam: float, z: np.ndarray, groups: _Groups) -> np.ndarray:
-    h = FD_SCALE * (1.0 + float(np.linalg.norm(z)))
-    jac = _fd_jacobian(lambda y: prob.gradient_vec(lam, y), z, h, groups)
+def _hessian(prob: Problem, lam: float, z: np.ndarray) -> np.ndarray:
+    jac = _fd_jacobian(prob, lambda y: prob.gradient_vec(lam, y), z)
     return 0.5 * (jac + jac.T)
 
 
-def _classify(prob: Problem, lam: float, z: np.ndarray, groups: _Groups) -> str:
-    eig_min = float(np.min(np.linalg.eigvalsh(_hessian(prob, lam, z, groups))))
+def _classify(prob: Problem, lam: float, z: np.ndarray) -> str:
+    eig_min = float(np.min(np.linalg.eigvalsh(_hessian(prob, lam, z))))
     return "saddle" if eig_min < -1e-6 else "minimizer"
 
 
@@ -280,11 +229,11 @@ class _RawPoint:
     outcome: str
 
 
-def _finalize(prob: Problem, lam: float, raw: _RawPoint, groups: _Groups) -> CriticalPoint:
+def _finalize(prob: Problem, lam: float, raw: _RawPoint) -> CriticalPoint:
     """Label with the Hessian at the returned point itself."""
     kind = "unclassified"
     if raw.converged:
-        kind = _classify(prob, lam, raw.z, groups)
+        kind = _classify(prob, lam, raw.z)
     return CriticalPoint(
         state=prob.unpack_state(raw.z),
         action_value=raw.action,
@@ -417,11 +366,11 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
 
 
 def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
-            groups: _Groups, balls: Sequence[_Ball]) -> _RawPoint:
+            balls: Sequence[_Ball]) -> _RawPoint:
     """The point a stopped descent ends at: polished by Newton, or as it
     stopped (its residual not evaluated)."""
     if col.stop == "polish":
-        return _newton_polish(prob, lam, col.z, cfg, col.iters, groups, balls)
+        return _newton_polish(prob, lam, col.z, cfg, col.iters, balls)
     if col.stop == "diverged":
         return _diverged(col.z, col.action, np.inf, col.iters)
     return _RawPoint(z=col.z, action=col.action, residual_sup=np.inf,
@@ -429,8 +378,7 @@ def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
 
 
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
-                groups: _Groups, accepted: Optional[Sequence[_RawPoint]] = None
-                ) -> _RawPoint:
+                accepted: Optional[Sequence[_RawPoint]] = None) -> _RawPoint:
     """Descend from z0, then polish with Newton: _descent_step on one column.
 
     `minimize` passes no `accepted`; the tests pass the points accepted so
@@ -449,7 +397,7 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
         col, = _launch(prob, lam, [z0])
         while col.stop is None:
             _descent_step(prob, lam, [col], balls, bound, budget)
-        return _finish(prob, lam, col, cfg, groups, balls)
+        return _finish(prob, lam, col, cfg, balls)
 
 
 def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: int,
@@ -531,12 +479,12 @@ def _in_a_ball(prob: Problem, z: np.ndarray, balls: Sequence[_Ball]) -> bool:
 
 
 def _newton_polish(prob: Problem, lam: float, z: np.ndarray, cfg: SolverConfig,
-                   iters: int, groups: _Groups, balls: Sequence[_Ball] = ()) -> _RawPoint:
+                   iters: int, balls: Sequence[_Ball] = ()) -> _RawPoint:
     """Newton on the gradient from where a descent stopped (_damped_newton),
     ending "duplicate" inside any of `balls` (see the module docstring)."""
     return _damped_newton(
         prob, lam, z, iters, cfg.max_iters, 3, np.inf, cfg.grad_tol,
-        lambda y, res: (_hessian(prob, lam, y, groups), -(prob.mu_dofs * res)),
+        lambda y, res: (_hessian(prob, lam, y), -(prob.mu_dofs * res)),
         lambda y, res: _sup(res), balls)
 
 
@@ -549,9 +497,8 @@ def minimize(prob: Problem, lam: float, start: State, cfg: SolverConfig) -> Crit
     """
     lam = _check_lam(lam)
     _check_problem(prob)
-    groups = _jacobian_groups(prob)
-    raw = _minimize_z(prob, lam, prob.pack_state(start), cfg, groups)
-    return _finalize(prob, lam, raw, groups)
+    raw = _minimize_z(prob, lam, prob.pack_state(start), cfg)
+    return _finalize(prob, lam, raw)
 
 
 def residual(prob: Problem, lam: float, state: State) -> float:
@@ -586,12 +533,11 @@ def _distinct(prob: Problem, z: np.ndarray, knowns: Iterable[np.ndarray],
 
 
 def _deflated_newton(prob: Problem, lam: float, knowns: Sequence[np.ndarray],
-                     z0: np.ndarray, cfg: SolverConfig, groups: _Groups) -> _RawPoint:
+                     z0: np.ndarray, cfg: SolverConfig) -> _RawPoint:
     """Newton on the deflated residual m(z) G(z) from z0 (_damped_newton)."""
     def system(z, res):
         m, dm = _deflation_factor(z, knowns)
-        h = FD_SCALE * (1.0 + float(np.linalg.norm(z)))
-        jac = _fd_jacobian(lambda y: prob.residual_vec(lam, y), z, h, groups)
+        jac = _fd_jacobian(prob, lambda y: prob.residual_vec(lam, y), z)
         return m * jac + np.outer(res, dm), -(m * res)
 
     def merit(z, res):
@@ -617,11 +563,10 @@ def deflated_solve(prob: Problem, lam: float, known: Sequence[State],
     knowns = [prob.pack_state(k) for k in known]
     if not _distinct(prob, z0, knowns, cfg.distinct_tol):
         raise ConvergedToKnown("start lies within distinct_tol of a known point")
-    groups = _jacobian_groups(prob)
-    raw = _deflated_newton(prob, lam, knowns, z0, cfg, groups)
+    raw = _deflated_newton(prob, lam, knowns, z0, cfg)
     if raw.converged and not _distinct(prob, raw.z, knowns, cfg.distinct_tol):
         raise ConvergedToKnown("deflated iteration converged to an already-known point")
-    return _finalize(prob, lam, raw, groups)
+    return _finalize(prob, lam, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +613,8 @@ def _horizon(lo: int, n: int, w: int, cols: Sequence[_Column]) -> int:
     return lo + len(cols) + max(0, math.ceil(more / rate - unknown))
 
 
-def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
-                radius: float, accepted: list[_RawPoint], accept) -> None:
+def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
+                accepted: list[_RawPoint], accept) -> None:
     """Descend from starts 0, 1, ... (index 0 is the deterministic origin
     start) and pass each result to `accept` in index order, until the
     stopping rule (`_stop_estimate`) stops or start cfg.starts has
@@ -705,7 +650,7 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, groups: _Groups,
                 _descent_step(prob, lam, cols, balls, bound, budget)
                 continue
             known = len(accepted)
-            raw = _finish(prob, lam, cols.pop(0), cfg, groups, balls)
+            raw = _finish(prob, lam, cols.pop(0), cfg, balls)
             accept("start", lo, raw)
             lo, n, w = lo + 1, n + (raw.outcome != "diverged"), w + (raw.outcome == "new")
             if _stop_estimate(n, w) is not None:
@@ -731,7 +676,6 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     if not 0.0 < radius < np.inf:
         raise BadParam(f"the start radius must be positive and finite, got {radius}")
 
-    groups = _jacobian_groups(prob)
     accepted: list[_RawPoint] = []
     outcomes: list[tuple[str, int, str, int]] = []
 
@@ -743,7 +687,7 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
                 raw.outcome = "duplicate"
         outcomes.append((phase, index, raw.outcome, raw.iterations))
 
-    _multistart(prob, lam, cfg, groups, radius, accepted, accept)
+    _multistart(prob, lam, cfg, radius, accepted, accept)
 
     attempts = max(32, cfg.starts)
     attempt = 0
@@ -754,12 +698,12 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
             base = np.zeros(prob.n_dofs)
         scale = (0.25, 0.5, 1.0, 2.0)[attempt % 4]
         z0 = base + _perturbation(cfg, attempt, prob.n_dofs, scale * radius)
-        raw = _deflated_newton(prob, lam, [a.z for a in accepted], z0, cfg, groups)
+        raw = _deflated_newton(prob, lam, [a.z for a in accepted], z0, cfg)
         accept("deflation", attempt, raw)
         attempt += 1
 
     accepted.sort(key=lambda r: r.action)
-    points = [_finalize(prob, lam, raw, groups) for raw in accepted]
+    points = [_finalize(prob, lam, raw) for raw in accepted]
     k = len(points)
     dist = np.zeros((k, k))
     for i in range(k):

@@ -1,6 +1,9 @@
 """Compressed finite-difference Jacobians: the m-hop sparsity pattern, the
 greedy column colouring, and equality with the dense one-column-at-a-time
-difference, both per Jacobian and for a whole solve."""
+difference, both per Jacobian and for a whole solve; a problem builds its
+pattern once, and only when a solve needs it."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import graphvar as gv
-from graphvar import solver
-from graphvar.problems import builtin_problem
+from graphvar import functionals, solver
+from graphvar.cli import main
+from graphvar.problems import BUILTIN_KEYS, builtin_problem
 from graphvar.solver import solution_set_to_json
 
 from conftest import EXPONENTS, ORDERS, POSITIVE, smooth_model, weighted_graphs
@@ -54,7 +58,7 @@ def dense_jacobian(fn, z, h):
 
 def pattern_mask(prob):
     mask = np.zeros((prob.n_dofs, prob.n_dofs), dtype=bool)
-    for i, cols in enumerate(solver._sparsity(prob)):
+    for i, cols in enumerate(functionals._sparsity(prob)):
         mask[i, cols] = True
     return mask
 
@@ -67,14 +71,14 @@ def test_compressed_jacobian_is_the_dense_one_bitwise(case):
     h = solver.FD_SCALE * (1.0 + float(np.linalg.norm(z)))
     dense = dense_jacobian(fn, z, h)
     assert not np.any(dense[~pattern_mask(prob)])
-    compressed = solver._fd_jacobian(fn, z, h, solver._jacobian_groups(prob))
+    compressed = solver._fd_jacobian(prob, fn, z)
     assert compressed.tobytes() == dense.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems())
 def test_no_two_columns_of_a_colour_share_a_row(prob):
-    mask, colour = solver._jacobian_groups(prob)
+    mask, colour = prob.jacobian_pattern
     assert mask.dtype == bool and mask.shape == (prob.n_dofs, prob.n_dofs)
     for row in mask:
         assert len(set(colour[row].tolist())) == np.count_nonzero(row)
@@ -83,7 +87,7 @@ def test_no_two_columns_of_a_colour_share_a_row(prob):
 
 def test_builtin_colour_counts():
     for name, colours, nonzeros in (("example-6.1", 12, 140), ("example-6.2", 18, 1941)):
-        mask, colour = solver._jacobian_groups(builtin_problem(name).problem)
+        mask, colour = builtin_problem(name).problem.jacobian_pattern
         assert (colour.max() + 1, np.count_nonzero(mask)) == (colours, nonzeros)
 
 
@@ -95,19 +99,19 @@ def solve61():
 
 
 def test_solve_is_the_same_with_one_column_per_group(solve61, monkeypatch):
-    prob, sset, cfg = solve61
-    monkeypatch.setattr(solver, "_colour_columns", lambda mask: np.arange(len(mask)))
-    _, colour = solver._jacobian_groups(prob)
+    _, sset, cfg = solve61
+    monkeypatch.setattr(functionals, "_colour_columns", lambda mask: np.arange(len(mask)))
+    prob = builtin_problem("example-6.1").problem  # the fixture's keeps its pattern
+    _, colour = prob.jacobian_pattern
     assert colour.max() + 1 == prob.n_dofs
     assert solution_set_to_json(gv.find_three(prob, 0.3, cfg)) == solution_set_to_json(sset)
 
 
 def test_kind_is_classified_at_the_returned_point(solve61):
     prob, sset, _ = solve61
-    groups = solver._jacobian_groups(prob)
     assert sset.points
     for pt in sset.points:
-        fresh = solver._classify(prob, 0.3, prob.pack_state(pt.state), groups)
+        fresh = solver._classify(prob, 0.3, prob.pack_state(pt.state))
         assert pt.kind == fresh
 
 
@@ -150,3 +154,31 @@ def test_coupled_blocks_are_scalar_problems_bitwise(case):
     assert res[:n].tobytes() == first.residual_vec(0.7, z[:n]).tobytes()
     assert res[n:].tobytes() == second.residual_vec(0.7, z[n:]).tobytes()
     assert coupled.wnorm_vec(z) == first.wnorm_vec(z[:n]) + second.wnorm_vec(z[n:])
+
+
+# -- the problem owns its pattern ---------------------------------------------
+
+def count_patterns(monkeypatch) -> list:
+    builds = []
+    sparsity = functionals._sparsity
+    monkeypatch.setattr(functionals, "_sparsity",
+                        lambda prob: builds.append(1) or sparsity(prob))
+    return builds
+
+
+def test_three_solves_on_one_problem_build_its_pattern_once(monkeypatch):
+    builds = count_patterns(monkeypatch)
+    prob = builtin_problem("example-6.1").problem
+    for lam in (0.15, 0.3, 0.5):
+        gv.find_three(prob, lam, gv.SolverConfig(seed=7, starts=4))
+    assert builds == [1]
+    fresh = dataclasses.replace(prob)  # the same fields, no pattern built
+    assert (prob == fresh, hash(prob) == hash(fresh)) == (True, True)
+
+
+def test_bundled_problems_and_reports_build_no_pattern(tmp_path, monkeypatch):
+    builds = count_patterns(monkeypatch)
+    for key in BUILTIN_KEYS:
+        builtin_problem(key)
+        assert main(["interval", "--reproduce", key, "-o", str(tmp_path / key)]) == 0
+    assert builds == []

@@ -116,15 +116,14 @@ def test_multistart_descent_stops_just_past_the_divergence_bound(prep61, cfg, mo
     # it evaluates one residual per step and keeps the line search's action
     prob = prep61.problem
     z0 = np.concatenate([np.full(prob.graph.n_vertices, d) for d in prep61.deltas])
-    groups = solver._jacobian_groups(prob)
     calls = []
     residual_vec = type(prob).residual_vec
     monkeypatch.setattr(type(prob), "residual_vec",
                         lambda self, *a: calls.append(1) or residual_vec(self, *a))
-    cut = solver._minimize_z(prob, 0.3, z0, cfg, groups, [])
+    cut = solver._minimize_z(prob, 0.3, z0, cfg, [])
     assert (cut.iterations, len(calls), cut.residual_sup) == (17, 17, np.inf)
     assert cut.action == prob.action_vec(0.3, cut.z)
-    full = solver._minimize_z(prob, 0.3, z0, cfg, groups)
+    full = solver._minimize_z(prob, 0.3, z0, cfg)
     bound = solver.DIVERGE_SCALE * (1.0 + prob.start_scale)
     assert (cut.outcome, cut.converged) == ("diverged", False)
     assert bound < np.max(np.abs(cut.z)) < 2.0 * bound
@@ -140,12 +139,11 @@ def test_newton_polish_stops_past_the_divergence_norm(prep61, cfg, monkeypatch):
     # counting on from the iterations it was handed
     prob = prep61.problem
     z0 = np.concatenate([np.full(prob.graph.n_vertices, 10.0 * d) for d in prep61.deltas])
-    groups = solver._jacobian_groups(prob)
-    full = solver._newton_polish(prob, 0.3, z0, cfg, 5, groups)
+    full = solver._newton_polish(prob, 0.3, z0, cfg, 5)
     assert (full.outcome, full.converged) == ("new", True)
     assert 90.0 < np.max(np.abs(full.z)) < 100.0
     monkeypatch.setattr(solver, "DIVERGE_NORM", 50.0)
-    cut = solver._newton_polish(prob, 0.3, z0, cfg, 5, groups)
+    cut = solver._newton_polish(prob, 0.3, z0, cfg, 5)
     assert (cut.outcome, cut.converged, cut.iterations) == ("diverged", False, 6)
     assert np.max(np.abs(cut.z)) > 100.0
     assert cut.residual_sup > cfg.grad_tol
@@ -180,7 +178,7 @@ def test_start_next_to_an_accepted_point_is_captured(prep61, cfg, close_pair, mo
     fd = solver._fd_jacobian
     monkeypatch.setattr(solver, "_fd_jacobian", lambda *a: builds.append(1) or fd(*a))
     z0 = near.z + 1e-6 * np.random.default_rng(0).uniform(-1.0, 1.0, prob.n_dofs)
-    raw = solver._minimize_z(prob, 0.5, z0, cfg, solver._jacobian_groups(prob), [near])
+    raw = solver._minimize_z(prob, 0.5, z0, cfg, [near])
     assert (raw.outcome, raw.converged, raw.iterations) == ("captured", False, 0)
     assert builds == []
 
@@ -196,8 +194,7 @@ def test_polish_inside_a_capture_ball_ends_duplicate(prep61, cfg, close_pair, mo
     hessians = []
     hessian = solver._hessian
     monkeypatch.setattr(solver, "_hessian", lambda *a: hessians.append(1) or hessian(*a))
-    raw = solver._newton_polish(prob, 0.5, z0, cfg, 7, solver._jacobian_groups(prob),
-                                solver._capture_balls(prob, [far]))
+    raw = solver._newton_polish(prob, 0.5, z0, cfg, 7, solver._capture_balls(prob, [far]))
     assert (raw.outcome, raw.converged, raw.iterations) == ("duplicate", False, 7)
     assert hessians == []
     pt = gv.minimize(prob, 0.5, prob.unpack_state(z0), cfg)
@@ -210,7 +207,7 @@ def test_saddle_close_to_an_accepted_minimizer_is_not_captured(prep61, cfg, clos
     # action; a capture ball ten times CAPTURE_REL would swallow it
     prob = prep61.problem
     far, saddle, _ = close_pair
-    raw = solver._minimize_z(prob, 0.5, saddle.z, cfg, solver._jacobian_groups(prob), [far])
+    raw = solver._minimize_z(prob, 0.5, saddle.z, cfg, [far])
     assert (raw.outcome, raw.converged) == ("new", True)
     assert prob.wnorm_vec(raw.z - saddle.z) < cfg.distinct_tol
 
@@ -220,13 +217,12 @@ def test_start_below_an_accepted_saddle_descends_away(prep61, cfg, close_pair):
     # leaves along the unstable direction and ends at the far minimizer
     prob = prep61.problem
     far, saddle, _ = close_pair
-    groups = solver._jacobian_groups(prob)
-    eig, vec = np.linalg.eigh(solver._hessian(prob, 0.5, saddle.z, groups))
+    eig, vec = np.linalg.eigh(solver._hessian(prob, 0.5, saddle.z))
     assert eig[0] < 0.0
     z0 = saddle.z + 0.5 * vec[:, 0] * np.sign(np.dot(vec[:, 0], far.z - saddle.z))
     assert prob.wnorm_vec(z0 - saddle.z) < solver.CAPTURE_REL * prob.wnorm_vec(saddle.z)
     assert prob.action_vec(0.5, z0) < saddle.action
-    raw = solver._minimize_z(prob, 0.5, z0, cfg, groups, [saddle])
+    raw = solver._minimize_z(prob, 0.5, z0, cfg, [saddle])
     assert (raw.outcome, raw.converged) == ("new", True)
     assert prob.wnorm_vec(raw.z - far.z) < cfg.distinct_tol
 
@@ -385,13 +381,13 @@ def test_find_three_repeats_byte_identical(prep61):
     assert solution_set_to_json(first) == solution_set_to_json(again)
 
 
-def serial_multistart(prob, lam, cfg, groups, radius, accepted, accept):
+def serial_multistart(prob, lam, cfg, radius, accepted, accept):
     """The reference for the lockstep multistart: one start after another,
     until the stopping rule stops."""
     n = w = 0
     for i in range(cfg.starts + 1):
         z0 = solver._start_vector(prob, cfg, i, radius)
-        raw = solver._minimize_z(prob, lam, z0, cfg, groups, accepted)
+        raw = solver._minimize_z(prob, lam, z0, cfg, accepted)
         accept("start", i, raw)
         n, w = n + (raw.outcome != "diverged"), w + (raw.outcome == "new")
         if solver._stop_estimate(n, w) is not None:
