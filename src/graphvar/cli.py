@@ -23,17 +23,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from . import calculus
 from .errors import GraphVarError, BadParam, IoError, ParseError
 from .functionals import Problem
 from .graph import (VertexFunction, build_graph, function_from_doc, function_to_doc,
                     integrate)
 from .intervals import _labels, interval_finite, interval_locally_finite
-from .problems import PreparedProblem, builtin_problem, problem_from_doc
+from .problems import BUILTIN_KEYS, PreparedProblem, builtin_problem, problem_from_doc
 from .solver import (OUTCOMES, SolutionSet, SolverConfig, _stop_estimate, find_three,
                      solution_set_to_json)
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -48,6 +47,8 @@ def _read_json(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -147,9 +148,9 @@ def cmd_op(args) -> int:
     else:
         raise BadParam(f"unknown operator {name!r}")
     if scalar is not None:
-        print(repr(scalar))
-        return EXIT_OK
-    text = json.dumps(function_to_doc(out), sort_keys=True, indent=2) + "\n"
+        text = repr(scalar) + "\n"
+    else:
+        text = json.dumps(function_to_doc(out), sort_keys=True, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
         inputs = [args.graph, args.u] + ([args.v] if args.v else [])
@@ -303,7 +304,7 @@ def cmd_sweep(args) -> int:
 
 def _add_problem_args(sub) -> None:
     sub.add_argument("--problem", help="problem document (JSON)")
-    sub.add_argument("--reproduce", choices=["example-6.1", "example-6.2"],
+    sub.add_argument("--reproduce", choices=BUILTIN_KEYS,
                      help="use a bundled problem")
     sub.add_argument("--r1", type=float, default=2.0,
                      help="tail exponent r1 of the coupled builtin (default 2)")

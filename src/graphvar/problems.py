@@ -139,13 +139,13 @@ def problem_from_doc(doc: dict) -> PreparedProblem:
         scalar = "m" in doc or "h" in doc
         if scalar:
             prob = ScalarProblem(
-                graph=g, m=int(doc["m"]), p=float(doc["p"]),
+                graph=g, m=doc["m"], p=float(doc["p"]),
                 h=_potential_from_doc(g, doc["h"]), nonlinearity=model)
             gammas = (float(doc["gamma"]),) if "gamma" in doc else ()
             deltas = (float(doc["delta"]),) if "delta" in doc else ()
         else:
             prob = ProblemSpec(
-                graph=g, m1=int(doc["m1"]), m2=int(doc["m2"]),
+                graph=g, m1=doc["m1"], m2=doc["m2"],
                 p=float(doc["p"]), q=float(doc["q"]),
                 h1=_potential_from_doc(g, doc["h1"]),
                 h2=_potential_from_doc(g, doc["h2"]),

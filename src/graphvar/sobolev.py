@@ -10,6 +10,7 @@ the finite minima; the floors are inputs, never inferred from a truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -20,17 +21,23 @@ from .graph import VertexFunction, WeightedGraph, check_domain
 
 @dataclass(frozen=True)
 class SobolevSpec:
-    """Order m, exponent l > 1, and strictly positive potential h."""
+    """Order m, an integer >= 1; exponent l > 1; and strictly positive
+    potential h.  An integral float or NumPy integer order is stored as an
+    int, and the exponent as a float; strings are rejected."""
 
     m: int
     l: float
     h: VertexFunction
 
     def __post_init__(self):
-        if int(self.m) < 1:
-            raise BadParam(f"Sobolev order m must be >= 1, got {self.m}")
-        if not 1.0 < float(self.l) < np.inf:
-            raise BadParam(f"Sobolev exponent l must be finite and > 1, got {self.l}")
+        m, l = self.m, self.l
+        if not (isinstance(m, Real) and not isinstance(m, bool)
+                and float(m).is_integer() and m >= 1):
+            raise BadParam(f"Sobolev order m must be an integer >= 1, got {m!r}")
+        if not (isinstance(l, Real) and 1.0 < l < np.inf):
+            raise BadParam(f"Sobolev exponent l must be finite and > 1, got {l!r}")
+        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "l", float(l))
         _check_potential(self.h.values)
 
 

@@ -52,6 +52,19 @@ def test_validate_malformed_json_exit1(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "interval"])
+def test_non_utf8_input_exit1(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = {"validate": ["validate", str(path)],
+            "interval": ["interval", "--problem", str(path), "-o",
+                         str(tmp_path / "rep.json")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_op_laplacian_round_trip(tmp_path):
     gpath = write_graph(tmp_path, GOOD)
     upath = tmp_path / "u.json"
@@ -69,6 +82,21 @@ def test_op_integrate_prints_scalar(tmp_path, capsys):
     upath.write_text(json.dumps({"values": {"a": 0.0, "b": 1.0}}))
     assert main(["op", "integrate", "--graph", gpath, "--u", str(upath)]) == 0
     assert capsys.readouterr().out.strip() == "1.0"
+
+
+@pytest.mark.parametrize("name", ["integrate", "lr_norm"])
+def test_op_scalar_with_out_writes_the_line_and_a_manifest(tmp_path, capsys, name):
+    gpath = write_graph(tmp_path, GOOD)
+    upath = tmp_path / "u.json"
+    upath.write_text(json.dumps({"values": {"a": 0.0, "b": 1.0}}))
+    assert main(["op", name, "--graph", gpath, "--u", str(upath)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(["op", name, "--graph", gpath, "--u", str(upath), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed == "1.0\n"
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+    assert (manifest["command"], manifest["outputs"]) == ("op", [str(out)])
 
 
 def test_op_gamma_requires_second_function(tmp_path):
@@ -520,6 +548,19 @@ def test_malformed_problem_fields_exit_with_a_code(tmp_path, make_doc):
             ppath.write_text(json.dumps({**good, field: bad}))
             code = main(["interval", "--problem", str(ppath), "-o", str(out)])
             assert code in (0, 2, 3), (field, bad)
+
+
+@pytest.mark.parametrize("make_doc, field", [(_coupled_problem_doc, "m1"),
+                                              (_scalar_problem_doc, "m")])
+def test_problem_document_order_is_not_truncated(tmp_path, capsys, make_doc, field):
+    ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"
+    good = make_doc()
+    ppath.write_text(json.dumps({**good, field: float(good[field])}))
+    assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 0
+    for bad in (good[field] + 0.7, str(good[field])):
+        ppath.write_text(json.dumps({**good, field: bad}))
+        assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 2
+        assert "order m must be an integer" in capsys.readouterr().err
 
 
 def test_readme_command_examples_parse():

@@ -136,3 +136,17 @@ def test_potential_and_exponent_validation(p2):
             gv.lr_embedding_const(p2, 2.0, bad, ones(p2))
         with pytest.raises(BadParam):
             SobolevSpec(1, bad, ones(p2))
+
+
+@pytest.mark.parametrize("m, l", [(2, 2.0), (2.0, 2), (np.int64(2), np.float64(2.0))])
+def test_integral_orders_are_stored_as_int(p2, m, l):
+    spec = SobolevSpec(m, l, ones(p2))
+    assert (type(spec.m), type(spec.l)) == (int, float)
+    assert (spec.m, spec.l) == (2, 2.0)
+
+
+@pytest.mark.parametrize("m, l", [(2.5, 2.0), ("2", 2.0), (True, 2.0), (0, 2.0),
+                                  (float("inf"), 2.0), (2, "2")])
+def test_order_and_exponent_must_be_numbers_of_their_kind(p2, m, l):
+    with pytest.raises(BadParam):
+        SobolevSpec(m, l, ones(p2))
