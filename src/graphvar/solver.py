@@ -75,8 +75,10 @@ and the starts skipped held 36,944 of their 121,147 descent iterations.
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k).  The starts descend in lockstep as the
 columns of batched evaluations, which equal the one-column ones bit for
-bit, and resolve in index order, so the results are those of running them
-one after another and stopping by the same rule (see _multistart).
+bit, and resolve in index order.  The solutions and stopping decisions are
+those of running the starts one after another and stopping by the same
+rule; only a start that loop labels "captured" may end differently (see
+_multistart).
 
 Exponents below 2 are rejected (the zero-order term |s|^(p-2) s is not
 Lipschitz there); interval computations alone support the full range.
@@ -382,8 +384,10 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
     """Descend from z0, then polish with Newton: _descent_step on one column.
 
     `minimize` passes no `accepted`; the tests pass the points accepted so
-    far, to run the starts in the serial order that `_multistart` reproduces
-    in lockstep, which turns on its early exits (see the module docstring):
+    far, to run the starts one after another as the serial reference whose
+    solutions and stopping decisions `_multistart` keeps (only a start this
+    labels "captured" may end differently there).  `accepted` turns on the
+    early exits of the module docstring:
     "diverged" past |z|inf = DIVERGE_SCALE * (1 + start_scale), "captured"
     inside the ball of relative radius CAPTURE_REL around a nontrivial
     accepted point while the action is still above that point's, and a
@@ -620,13 +624,20 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
     stopping rule (`_stop_estimate`) stops or start cfg.starts has
     resolved; `accepted` holds the points accepted so far.
 
-    The results are those of running `_minimize_z` on one start after
-    another and testing the rule after each.  The launched descents step
-    together in lockstep, and start i resolves, by its Newton polish and
-    acceptance, only after every start before it.  A resolution that adds a
-    capture ball relaunches every later start from its start vector, as the
-    serial loop would have tested it against that ball from its first
-    iteration.  The launched starts are a window: while no start has found
+    The launched descents step together in lockstep, and start i resolves,
+    by its Newton polish and acceptance, only after every start before it.
+    A capture ball that a resolution adds is tested on every launched
+    descent from its current iterate on.  The serial loop, `_minimize_z` on
+    one start after another with the rule tested after each, tests it from
+    the first iterate.  The capture test stops a trajectory but never
+    changes one, so a start differs from that loop only where the loop
+    captures it at an iterate the lockstep descent had already passed: it
+    is captured later, with more iterations, or its polish ends
+    "duplicate".  Both count alike in the rule, so the solutions and
+    stopping decisions are the serial loop's.  (A descent that passed
+    through a ball could in principle go on to diverge or to another
+    point; none did in the 44 acceptance solves or the two seed-42 16-step
+    sweeps.)  The launched starts are a window: while no start has found
     a point it doubles with each resolution; after that it reaches up to
     the `_horizon`, re-estimated at every step, and no further, so a start
     is launched past the stop only when the starts before it diverge less
@@ -655,10 +666,7 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
             lo, n, w = lo + 1, n + (raw.outcome != "diverged"), w + (raw.outcome == "new")
             if _stop_estimate(n, w) is not None:
                 return
-            added = _capture_balls(prob, accepted[known:])
-            if added:
-                balls += added
-                cols = []
+            balls += _capture_balls(prob, accepted[known:])
 
 
 def find_three(prob: Problem, lam: float, cfg: SolverConfig,

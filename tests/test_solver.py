@@ -395,7 +395,10 @@ def serial_multistart(prob, lam, cfg, radius, accepted, accept):
 
 
 def test_lockstep_multistart_equals_serial_loop(monkeypatch):
-    launched, resolved, stopped = [], 0, 0
+    # the solutions and stopping decisions are the serial loop's; a start the
+    # serial loop captures may be captured later or end "duplicate", since a
+    # new capture ball is tested on a launched descent from where it is
+    later, stopped = 0, 0
     launch = solver._launch
     for key, lam, starts, seeds in (("example-6.1", 0.3, 8, (0, 3, 42)),
                                     ("example-6.1", 0.5, 8, (0, 3, 42)),
@@ -405,6 +408,7 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
         radius = 1.0 + max(prep.deltas)
         for seed in seeds:
             cfg = gv.SolverConfig(seed=seed, starts=starts)
+            launched = []
             with monkeypatch.context() as m:
                 m.setattr(solver, "_launch",
                           lambda prob, lam, zs: launched.extend(zs) or launch(prob, lam, zs))
@@ -413,12 +417,18 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
                 m.setattr(solver, "_multistart", serial_multistart)
                 serial = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
             assert solution_set_to_json(lockstep) == solution_set_to_json(serial), (key, seed)
-            assert lockstep.outcomes == serial.outcomes, (key, seed)
+            assert len(lockstep.outcomes) == len(serial.outcomes), (key, seed)
+            for got, want in zip(lockstep.outcomes, serial.outcomes):
+                if got != want:
+                    assert want[2] == "captured" and got[:2] == want[:2], (key, seed, got, want)
+                    assert got[2] == "duplicate" or (
+                        got[2] == "captured" and got[3] >= want[3]), (key, seed, got, want)
+                    later += 1
+            # no start vector is launched twice
+            assert len({z.tobytes() for z in launched}) == len(launched), (key, seed)
             ran = sum(phase == "start" for phase, _, _, _ in lockstep.outcomes)
-            resolved += ran
             stopped += ran < starts + 1
-    # some start was relaunched after an earlier one added a capture ball
-    assert len(launched) > resolved
+    assert later  # some start passed a ball before the ball was added
     assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
@@ -443,13 +453,13 @@ def test_diverged_starts_do_not_count_toward_the_stop(prep61):
 
 
 def test_work_of_one_solve(monkeypatch):
-    # the columns are the serial solve's work plus the descents of starts
-    # relaunched after a capture ball; the calls count the lockstep steps
-    # and line-search rounds that carry them.  Both fell when starts past
-    # the stopping rule stopped being launched: from 376 residual calls and
-    # 4,303 columns on example-6.1 and from 1,031 and 8,868 on example-6.2
-    # when all 65 starts ran and the window doubled.  The example-6.2 counts
-    # are the same with one BLAS thread and with the default pool.
+    # the columns are the work of the launched descents, each launched once,
+    # and of the polishes and deflation; the calls count the lockstep steps
+    # and line-search rounds that carry them.  When a capture ball relaunched
+    # the later starts, example-6.1 launched 107 descents for its 65 starts
+    # (309 residual calls, 4,268 columns) and example-6.2 22 for 17 (685 and
+    # 5,147).  The counts are the same with one BLAS thread and with the
+    # default pool.
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -457,9 +467,17 @@ def test_work_of_one_solve(monkeypatch):
             work[_name] = (calls + 1, cols + (1 if z.ndim == 1 else z.shape[1]))
             return _fn(self, lam, z)
         monkeypatch.setattr(Problem, name, counted)
+    launch = solver._launch
+
+    def launching(prob, lam, zs):
+        work["launched"] = work.get("launched", 0) + len(zs)
+        return launch(prob, lam, zs)
+    monkeypatch.setattr(solver, "_launch", launching)
     for key, lam, want in (
-            ("example-6.1", 0.3, {"residual_vec": (309, 4268), "action_vec": (548, 5115)}),
-            ("example-6.2", 1.0, {"residual_vec": (685, 5147), "action_vec": (983, 4006)})):
+            ("example-6.1", 0.3, {"residual_vec": (265, 2948), "action_vec": (388, 3141),
+                                  "launched": 65}),
+            ("example-6.2", 1.0, {"residual_vec": (687, 4758), "action_vec": (944, 3514),
+                                  "launched": 17})):
         prep = builtin_problem(key)
         work.clear()
         gv.find_three(prep.problem, lam, gv.SolverConfig(seed=42),
