@@ -10,6 +10,7 @@ Graphs are immutable after construction.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -228,6 +229,14 @@ def integrate(graph: WeightedGraph, u: VertexFunction) -> float:
 # document (de)serialization
 # ---------------------------------------------------------------------------
 
+def doc_number(value, what: str) -> float:
+    """A number read from a document, as a float.  Only numbers pass: a
+    string or a boolean raises BadParam instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParam(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_graph(desc: Mapping) -> WeightedGraph:
     """Build and validate a graph from its description document.
 
@@ -236,8 +245,11 @@ def build_graph(desc: Mapping) -> WeightedGraph:
     """
     try:
         vertices = [str(item["id"]) for item in desc["vertices"]]
-        mu = {str(item["id"]): float(item["mu"]) for item in desc["vertices"]}
-        edges = [(str(e["a"]), str(e["b"]), float(e["w"])) for e in desc.get("edges", [])]
+        mu = {str(item["id"]): doc_number(item["mu"], f"mu of vertex {item['id']!r}")
+              for item in desc["vertices"]}
+        edges = [(str(e["a"]), str(e["b"]),
+                  doc_number(e["w"], f"w of edge ({e['a']!r}, {e['b']!r})"))
+                 for e in desc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParam(f"malformed graph document: {exc}") from exc
     return WeightedGraph(vertices, mu, edges)
@@ -269,7 +281,8 @@ def function_to_doc(u: VertexFunction) -> dict:
 
 def function_from_doc(graph: WeightedGraph, doc: Mapping) -> VertexFunction:
     try:
-        values = {str(k): float(v) for k, v in doc["values"].items()}
+        values = {str(k): doc_number(v, f"the value at {k!r}")
+                  for k, v in doc["values"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise BadParam(f"malformed vertex-function document: {exc}") from exc
     return VertexFunction.from_dict(graph, values)

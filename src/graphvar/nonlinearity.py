@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParam, InconsistentDerivative
-from .graph import WeightedGraph
+from .graph import WeightedGraph, doc_number
 
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -283,6 +283,8 @@ def tabulated_model(s_grid, t_grid, values, name: str = "table") -> Nonlinearity
     z = np.asarray(values, dtype=float)
     if s.ndim != 1 or t.ndim != 1 or len(s) < 2 or len(t) < 2:
         raise BadParam("table needs at least a 2x2 grid")
+    if not (np.isfinite(s).all() and np.isfinite(t).all() and np.isfinite(z).all()):
+        raise BadParam(f"table {name!r} has a node or value that is not finite")
     if np.any(np.diff(s) <= 0) or np.any(np.diff(t) <= 0):
         raise BadParam("table grids must be strictly increasing")
     if z.shape != (len(s), len(t)):
@@ -330,7 +332,9 @@ def tabulated_model(s_grid, t_grid, values, name: str = "table") -> Nonlinearity
 def nonlinearity_from_doc(doc: dict) -> NonlinearityModel:
     """Build a model from its JSON document: a named builtin or a table."""
     if "builtin" in doc:
-        params = dict(doc.get("params", {}))
+        params = {name: value if name == "support" else
+                  doc_number(value, f"nonlinearity parameter {name!r}")
+                  for name, value in doc.get("params", {}).items()}
         kind = doc["builtin"]
         if kind == "example_6_1":
             return builtin_example_6_1(**params)
@@ -339,6 +343,9 @@ def nonlinearity_from_doc(doc: dict) -> NonlinearityModel:
         raise BadParam(f"unknown builtin nonlinearity {kind!r}")
     if "table" in doc:
         tab = doc["table"]
+        for key in ("s", "t", "values"):
+            for value in np.asarray(tab[key], dtype=object).flat:
+                doc_number(value, f"an entry of table {key!r}")
         return tabulated_model(tab["s"], tab["t"], tab["values"])
     raise BadParam("nonlinearity document needs a 'builtin' or 'table' entry")
 

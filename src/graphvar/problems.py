@@ -27,6 +27,8 @@ from .graph import (
     VertexFunction,
     WeightedGraph,
     build_graph,
+    doc_number,
+    function_from_doc,
     generate_builtin,
     lattice_ball,
     lattice_ball_center,
@@ -96,17 +98,20 @@ def builtin_problem(key: str, r1: float = 2.0, r2: float = 3.0,
 
 def _graph_from_doc(doc) -> WeightedGraph:
     if "builtin" in doc:
-        return generate_builtin(doc["builtin"], **doc.get("params", {}))
+        params = doc.get("params", {})
+        for name, value in params.items():
+            doc_number(value, f"graph parameter {name!r}")
+        return generate_builtin(doc["builtin"], **params)
     return build_graph(doc)
 
 
 def _potential_from_doc(g: WeightedGraph, doc) -> VertexFunction:
-    if isinstance(doc, (int, float)):
-        return VertexFunction.constant(g, float(doc))
+    if not isinstance(doc, dict):
+        return VertexFunction.constant(g, doc_number(doc, "a potential"))
     if "const" in doc:
-        return VertexFunction.constant(g, float(doc["const"]))
+        return VertexFunction.constant(g, doc_number(doc["const"], "a potential's 'const'"))
     if "values" in doc:
-        return VertexFunction.from_dict(g, {k: float(v) for k, v in doc["values"].items()})
+        return function_from_doc(g, doc)
     raise BadParam("potential document needs 'const' or 'values'")
 
 
@@ -139,27 +144,27 @@ def problem_from_doc(doc: dict) -> PreparedProblem:
         scalar = "m" in doc or "h" in doc
         if scalar:
             prob = ScalarProblem(
-                graph=g, m=doc["m"], p=float(doc["p"]),
+                graph=g, m=doc["m"], p=doc_number(doc["p"], "p"),
                 h=_potential_from_doc(g, doc["h"]), nonlinearity=model)
-            gammas = (float(doc["gamma"]),) if "gamma" in doc else ()
-            deltas = (float(doc["delta"]),) if "delta" in doc else ()
+            gammas = (doc_number(doc["gamma"], "gamma"),) if "gamma" in doc else ()
+            deltas = (doc_number(doc["delta"], "delta"),) if "delta" in doc else ()
         else:
             prob = ProblemSpec(
                 graph=g, m1=doc["m1"], m2=doc["m2"],
-                p=float(doc["p"]), q=float(doc["q"]),
+                p=doc_number(doc["p"], "p"), q=doc_number(doc["q"], "q"),
                 h1=_potential_from_doc(g, doc["h1"]),
                 h2=_potential_from_doc(g, doc["h2"]),
                 nonlinearity=model)
-            gammas = (tuple(float(doc[k]) for k in ("gamma1", "gamma2"))
+            gammas = (tuple(doc_number(doc[k], k) for k in ("gamma1", "gamma2"))
                       if "gamma1" in doc else ())
-            deltas = (tuple(float(doc[k]) for k in ("delta1", "delta2"))
+            deltas = (tuple(doc_number(doc[k], k) for k in ("delta1", "delta2"))
                       if "delta1" in doc else ())
         return PreparedProblem(
             key=doc.get("name", "custom"), problem=prob, mode=mode,
             gammas=gammas, deltas=deltas,
             x0=str(doc["x0"]) if "x0" in doc else None,
-            h0=float(doc["h0"]) if "h0" in doc else None,
-            mu0=float(doc["mu0"]) if "mu0" in doc else None)
+            h0=doc_number(doc["h0"], "h0") if "h0" in doc else None,
+            mu0=doc_number(doc["mu0"], "mu0") if "mu0" in doc else None)
     except KeyError as exc:
         raise BadParam(f"problem document is missing {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphvar as gv
-from graphvar import solver
+from graphvar import calculus, solver
 from graphvar.calculus import poly_lap_apply_arr
 from graphvar.cli import build_parser, main
 from graphvar.graph import function_from_doc, function_to_doc
@@ -42,6 +43,14 @@ def test_validate_zero_weight_exit2_names_edge(tmp_path, capsys):
     assert "'a'" in err and "'b'" in err
 
 
+@pytest.mark.parametrize("field, bad", [("mu", "1.0"), ("mu", True), ("w", "2")])
+def test_validate_non_number_exit2(tmp_path, capsys, field, bad):
+    doc = json.loads(json.dumps(GOOD))
+    (doc["edges"] if field == "w" else doc["vertices"])[0][field] = bad
+    assert main(["validate", write_graph(tmp_path, doc)]) == 2
+    assert f"{field} of " in capsys.readouterr().err
+
+
 def test_validate_missing_file_exit1(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
@@ -65,15 +74,41 @@ def test_non_utf8_input_exit1(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_op_laplacian_round_trip(tmp_path):
-    gpath = write_graph(tmp_path, GOOD)
-    upath = tmp_path / "u.json"
-    upath.write_text(json.dumps({"values": {"a": 0.0, "b": 1.0}}))
-    out = tmp_path / "out.json"
-    assert main(["op", "laplacian", "--graph", gpath, "--u", str(upath),
-                 "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["values"] == {"a": 2.0, "b": -2.0}
+# what `op <name> --m 2 --p 3 --r 3` computes, from the library
+OP_LIBRARY = {
+    "gamma": lambda g, u, v: calculus.gamma(g, u, v),
+    "grad_norm": lambda g, u, v: calculus.grad_norm(g, u),
+    "laplacian": lambda g, u, v: calculus.laplacian(g, u),
+    "m_grad_norm": lambda g, u, v: calculus.m_grad_norm(g, u, 2),
+    "p_laplacian": lambda g, u, v: calculus.p_laplacian(g, u, 3.0),
+    "poly_lap": lambda g, u, v: gv.VertexFunction(g, poly_lap_apply_arr(g, u.values, 2, 3.0)),
+    "lr_norm": lambda g, u, v: calculus.lr_norm(g, u, 3.0),
+    "integrate": lambda g, u, v: gv.integrate(g, u),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_LIBRARY))
+def test_op_round_trip(tmp_path, name):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(next(a for a in subs.choices["op"]._actions if a.dest == "name").choices) == set(
+        OP_LIBRARY)
+    g = gv.lattice_ball(2)
+    gpath = tmp_path / "g.json"
+    gv.save_graph(g, str(gpath))
+    rng = np.random.default_rng(3)
+    u, v = (gv.VertexFunction(g, rng.uniform(-1, 1, g.n_vertices)) for _ in range(2))
+    upath, vpath, out = tmp_path / "u.json", tmp_path / "v.json", tmp_path / "out.json"
+    upath.write_text(json.dumps(function_to_doc(u)))
+    vpath.write_text(json.dumps(function_to_doc(v)))
+    assert main(["op", name, "--graph", str(gpath), "--u", str(upath), "--v", str(vpath),
+                 "--m", "2", "--p", "3", "--r", "3", "-o", str(out)]) == 0
+    want = OP_LIBRARY[name](g, u, v)
+    if isinstance(want, float):
+        assert out.read_text() == repr(want) + "\n"
+    else:
+        written = function_from_doc(g, json.loads(out.read_text())).values
+        assert written.tobytes() == want.values.tobytes()
 
 
 def test_op_integrate_prints_scalar(tmp_path, capsys):
@@ -533,6 +568,49 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys, flags, want):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert want in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make_doc, field, bad, want", [
+    (_scalar_problem_doc, "p", "3", "p must be a number"),
+    (_scalar_problem_doc, "gamma", "1.7", "gamma must be a number"),
+    (_scalar_problem_doc, "h", {"const": "4"}, "'const' must be a number"),
+    (_scalar_problem_doc, "h", True, "a potential must be a number"),
+    (_scalar_problem_doc, "mu0", "1", "mu0 must be a number"),
+    (_scalar_problem_doc, "graph", {"builtin": "lattice_ball", "params": {"radius": "1"}},
+     "'radius' must be a number"),
+    (_coupled_problem_doc, "q", "3", "q must be a number"),
+    (_coupled_problem_doc, "delta2", False, "delta2 must be a number"),
+    (_coupled_problem_doc, "h2", {"values": {"v00": "9"}}, "the value at 'v00' must be"),
+    (_coupled_problem_doc, "nonlinearity", {"builtin": "example_6_1",
+                                            "params": {"omega1": "3", "omega2": 2.0}},
+     "'omega1' must be a number"),
+    # a NaN table value passed the table checks and failed later as an overflow
+    (_scalar_problem_doc, "nonlinearity",
+     {"table": {"s": [0.0, 1.0], "t": [0.0, 1.0], "values": [[0.0, 0.0], [float("nan"), 1.0]]}},
+     "table 'table' has a node or value that is not finite")],
+    ids=["p", "gamma", "const", "bool-potential", "mu0", "radius", "q", "delta2",
+         "values", "omega1", "nan-table-value"])
+def test_problem_document_non_number_exits_2(tmp_path, capsys, make_doc, field, bad, want):
+    doc = make_doc()
+    ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"
+    ppath.write_text(json.dumps({**doc, field: bad}))
+    assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and want in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("potential", [4.0, {"const": 4.0}, "values"])
+def test_problem_document_potential_forms_agree(tmp_path, potential):
+    doc = _scalar_problem_doc()
+    if potential == "values":
+        potential = {"values": {v: 4.0 for v in gv.lattice_ball(1).vertices}}
+    ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"
+    ppath.write_text(json.dumps({**doc, "h": potential}))
+    assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 0
+    ppath.write_text(json.dumps(doc))
+    assert main(["interval", "--problem", str(ppath), "-o", str(tmp_path / "ref.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 @pytest.mark.parametrize("make_doc", [_coupled_problem_doc, _scalar_problem_doc])

@@ -14,6 +14,7 @@ from graphvar.errors import (
     SelfLoop,
     UnknownVertex,
 )
+from graphvar.graph import function_from_doc
 
 from conftest import oracle_integrate, random_graph, random_vf
 
@@ -159,6 +160,14 @@ def test_vertex_function_validation(p2):
     u = gv.VertexFunction.from_dict(p2, {"a": 1.0, "b": 2.0})
     assert u.value("b") == 2.0
     assert u.as_dict() == {"a": 1.0, "b": 2.0}
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, [1.0]])
+def test_vertex_function_document_takes_only_numbers(p2, bad):
+    assert function_from_doc(p2, {"values": {"a": 0.5, "b": 1}}).as_dict() == {
+        "a": 0.5, "b": 1.0}
+    with pytest.raises(BadParam, match="the value at 'b' must be a number"):
+        function_from_doc(p2, {"values": {"a": 0.5, "b": bad}})
 
 
 def test_equal_graphs_hash_equal():

@@ -280,6 +280,23 @@ def test_interval_scalar_finite_smoke(prep61):
     assert rep.lambda_lo < rep.lambda_hi
 
 
+def test_interval_finite_support_model_is_zero_off_its_vertex():
+    # F vanishes off the support vertex: on more than one vertex the smallest
+    # F(x, delta) over the vertices is 0, so L2 = 0 and F3 fails; on the
+    # support vertex alone it is F(delta), and lambda_lo = Phi / (F(delta) vol)
+    prep = builtin_problem("example-6.2", radius=1)
+    model, (gamma,), (delta,) = prep.problem.nonlinearity, prep.gammas, prep.deltas
+    rep = gv.interval_finite(prep.problem, gamma, delta)
+    f3 = next(h for h in rep.hypotheses if h.name == "F3")
+    assert rep.lambda_lo == math.inf and not f3.passed and "L2 = 0" in f3.witness
+    g = gv.WeightedGraph([model.support], {model.support: 1.0}, [])
+    alone = ScalarProblem(graph=g, m=1, p=3.0, h=gv.VertexFunction.constant(g, 4.0),
+                          nonlinearity=model)
+    rep = gv.interval_finite(alone, gamma, delta)
+    f_delta = float(model.F(np.asarray(delta), np.asarray(0.0)))
+    assert rep.lambda_lo == pytest.approx(delta ** 3 / 3.0 * 4.0 / f_delta, rel=1e-12)
+
+
 def test_interval_scalar_validation(prep62):
     with pytest.raises(BadParam):
         gv.interval_finite(prep62.problem, 0.0, 1.0)

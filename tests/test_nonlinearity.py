@@ -271,6 +271,29 @@ def test_tabulated_model_validation():
         gv.tabulated_model([0.0, 1.0], [0.0, 1.0], [[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("doc, what", [
+    ({"builtin": "example_6_1", "params": {"omega1": "3", "omega2": 2.0}}, "'omega1'"),
+    ({"builtin": "example_6_1", "params": {"omega1": 3, "omega2": True}}, "'omega2'"),
+    ({"builtin": "example_6_2", "params": {"omega": 1.5, "r": "5"}}, "'r'"),
+    ({"table": {"s": [0.0, "1"], "t": [0.0, 1.0], "values": [[0, 0], [1, 1]]}}, "'s'"),
+    ({"table": {"s": [0.0, 1.0], "t": [False, 1.0], "values": [[0, 0], [1, 1]]}}, "'t'"),
+    ({"table": {"s": [0.0, 1.0], "t": [0.0, 1.0], "values": [[0, 0], [1, "1"]]}},
+     "'values'")])
+def test_nonlinearity_document_takes_only_numbers(doc, what):
+    with pytest.raises(BadParam, match=f"{what} must be a number"):
+        nonlinearity_from_doc(doc)
+
+
+@pytest.mark.parametrize("s, t, values", [
+    ([0.0, np.nan, 1.0], [0.0, 1.0], np.zeros((3, 2))),  # passes the increasing test
+    ([0.0, np.inf], [0.0, 1.0], np.zeros((2, 2))),
+    ([0.0, 1.0], [-np.inf, 1.0], np.zeros((2, 2))),
+    ([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [np.nan, 1.0]])])
+def test_tabulated_model_rejects_values_that_are_not_finite(s, t, values):
+    with pytest.raises(BadParam, match="table 'tab' has a node or value that is not finite"):
+        gv.tabulated_model(s, t, values, name="tab")
+
+
 def test_nonlinearity_doc_round_trip(m61, m62):
     doc = nonlinearity_to_doc(m61)
     again = nonlinearity_from_doc(doc)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,17 @@ def test_find_three_matches_pin(key, lam, seed, starts):
     # the stopping rule first stops at N = 8, past these caps: every start resolves
     assert [index for phase, index, _, _ in sset.outcomes if phase == "start"] == list(
         range(starts + 1))
+
+
+@pytest.mark.parametrize("key", ["example-6.1", "example-6.2"])
+def test_solution_set_document_round_trips(key):
+    # example-6.2 is a scalar solution set, example-6.1 a coupled one
+    text = (PINS / f"solve-{key}.json").read_text()
+    prep = builtin_problem(key)
+    sset = solver.solution_set_from_doc(prep.problem, json.loads(text))
+    state = sset.points[0].state
+    assert isinstance(state, gv.VertexFunction if key == "example-6.2" else gv.StatePair)
+    assert solution_set_to_json(sset) == text
 
 
 def test_solver_rejects_exponents_below_two(p2, cfg):
