@@ -10,7 +10,6 @@ Graphs are immutable after construction.
 from __future__ import annotations
 
 import json
-import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -230,9 +229,10 @@ def integrate(graph: WeightedGraph, u: VertexFunction) -> float:
 # ---------------------------------------------------------------------------
 
 def doc_number(value, what: str) -> float:
-    """A number read from a document, as a float.  Only numbers pass: a
-    string or a boolean raises BadParam instead of being converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A number read from a document, as a float.  Only JSON numbers (int
+    or float) pass: a string or a boolean raises BadParam instead of being
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadParam(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -245,10 +245,9 @@ def build_graph(desc: Mapping) -> WeightedGraph:
     """
     try:
         vertices = [str(item["id"]) for item in desc["vertices"]]
-        mu = {str(item["id"]): doc_number(item["mu"], f"mu of vertex {item['id']!r}")
+        mu = {str(item["id"]): doc_number(item["mu"], "mu of a vertex")
               for item in desc["vertices"]}
-        edges = [(str(e["a"]), str(e["b"]),
-                  doc_number(e["w"], f"w of edge ({e['a']!r}, {e['b']!r})"))
+        edges = [(str(e["a"]), str(e["b"]), doc_number(e["w"], "w of an edge"))
                  for e in desc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParam(f"malformed graph document: {exc}") from exc
@@ -281,8 +280,7 @@ def function_to_doc(u: VertexFunction) -> dict:
 
 def function_from_doc(graph: WeightedGraph, doc: Mapping) -> VertexFunction:
     try:
-        values = {str(k): doc_number(v, f"the value at {k!r}")
-                  for k, v in doc["values"].items()}
+        values = {str(k): doc_number(v, "a vertex value") for k, v in doc["values"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise BadParam(f"malformed vertex-function document: {exc}") from exc
     return VertexFunction.from_dict(graph, values)

@@ -580,7 +580,7 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys, flags, want):
      "'radius' must be a number"),
     (_coupled_problem_doc, "q", "3", "q must be a number"),
     (_coupled_problem_doc, "delta2", False, "delta2 must be a number"),
-    (_coupled_problem_doc, "h2", {"values": {"v00": "9"}}, "the value at 'v00' must be"),
+    (_coupled_problem_doc, "h2", {"values": {"v00": "9"}}, "a vertex value must be"),
     (_coupled_problem_doc, "nonlinearity", {"builtin": "example_6_1",
                                             "params": {"omega1": "3", "omega2": 2.0}},
      "'omega1' must be a number"),

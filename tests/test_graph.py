@@ -166,7 +166,7 @@ def test_vertex_function_validation(p2):
 def test_vertex_function_document_takes_only_numbers(p2, bad):
     assert function_from_doc(p2, {"values": {"a": 0.5, "b": 1}}).as_dict() == {
         "a": 0.5, "b": 1.0}
-    with pytest.raises(BadParam, match="the value at 'b' must be a number"):
+    with pytest.raises(BadParam, match="a vertex value must be a number"):
         function_from_doc(p2, {"values": {"a": 0.5, "b": bad}})
 
 
