@@ -10,6 +10,8 @@ Graphs are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
+from numbers import Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,7 +50,7 @@ class WeightedGraph:
             if v not in mu:
                 raise BadParam(f"vertex {v!r} has no measure")
             m = float(mu[v])
-            if not np.isfinite(m) or m <= 0.0:
+            if not math.isfinite(m) or m <= 0.0:
                 raise NonPositiveMeasure(f"mu({v!r}) = {m} must be positive")
             mu_arr[pos[v]] = m
 
@@ -62,7 +64,7 @@ class WeightedGraph:
             if a == b:
                 raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop")
             w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
+            if not math.isfinite(w) or w <= 0.0:
                 raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {w}, must be positive")
             i, j = pos[a], pos[b]
             if i > j:
@@ -237,6 +239,13 @@ def doc_number(value, what: str) -> float:
     return float(value)
 
 
+def _doc_id(value, what: str) -> str:
+    """A vertex id read from a document: only a JSON string passes."""
+    if not isinstance(value, str):
+        raise BadParam(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def build_graph(desc: Mapping) -> WeightedGraph:
     """Build and validate a graph from its description document.
 
@@ -244,10 +253,11 @@ def build_graph(desc: Mapping) -> WeightedGraph:
     [{"a", "b", "w"}]}`` with each unordered edge listed once.
     """
     try:
-        vertices = [str(item["id"]) for item in desc["vertices"]]
-        mu = {str(item["id"]): doc_number(item["mu"], "mu of a vertex")
-              for item in desc["vertices"]}
-        edges = [(str(e["a"]), str(e["b"]), doc_number(e["w"], "w of an edge"))
+        vertices = [_doc_id(item["id"], "id of a vertex") for item in desc["vertices"]]
+        mu = {v: doc_number(item["mu"], "mu of a vertex")
+              for v, item in zip(vertices, desc["vertices"])}
+        edges = [(_doc_id(e["a"], "a of an edge"), _doc_id(e["b"], "b of an edge"),
+                  doc_number(e["w"], "w of an edge"))
                  for e in desc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParam(f"malformed graph document: {exc}") from exc
@@ -307,6 +317,15 @@ def _lattice_id(i: int, j: int, radius: int) -> str:
     return f"v{i + radius:02d}_{j + radius:02d}"
 
 
+def _radius(radius) -> int:
+    """A lattice-ball radius as an int: an integral number >= 1, as the
+    Sobolev orders are taken."""
+    if not (isinstance(radius, Real) and not isinstance(radius, bool)
+            and float(radius).is_integer() and radius >= 1):
+        raise BadParam(f"lattice_ball radius must be an integer >= 1, got {radius!r}")
+    return int(radius)
+
+
 def lattice_ball(radius: int) -> WeightedGraph:
     """Square-lattice sup-norm ball of the given radius around a center.
 
@@ -314,9 +333,7 @@ def lattice_ball(radius: int) -> WeightedGraph:
     weight 2, mu == 1.  The center has exactly 4 neighbors.  This is the
     Dirichlet truncation used for locally finite problems.
     """
-    radius = int(radius)
-    if radius < 1:
-        raise BadParam(f"lattice_ball radius must be >= 1, got {radius}")
+    radius = _radius(radius)
     span = range(-radius, radius + 1)
     ids = [_lattice_id(i, j, radius) for i in span for j in span]
     edges = []
@@ -331,7 +348,7 @@ def lattice_ball(radius: int) -> WeightedGraph:
 
 def lattice_ball_center(radius: int) -> str:
     """Vertex id of the center of lattice_ball(radius)."""
-    return _lattice_id(0, 0, int(radius))
+    return _lattice_id(0, 0, _radius(radius))
 
 
 def generate_builtin(name: str, **params) -> WeightedGraph:

@@ -109,9 +109,16 @@ class NonlinearityModel:
         return bool(abs(float(self.Fs(z, z))) > 0.0 or abs(float(self.Ft(z, z))) > 0.0)
 
 
+def _scalar(x) -> bool:
+    """np.ndim(x) == 0 for floats, ints, NumPy scalars and arrays, by type
+    tests that cost a tenth of np.ndim's microsecond."""
+    return isinstance(x, (float, int, np.generic)) or (isinstance(x, np.ndarray)
+                                                       and not x.ndim)
+
+
 def _odd(fabs: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     def wrapped(s):
-        if np.ndim(s) == 0:  # scalar fast path, hot in the solver
+        if _scalar(s):  # scalar fast path, hot in the solver
             s = float(s)
             return -fabs(-s) if s < 0.0 else fabs(s)
         return np.sign(s) * fabs(np.abs(s))
@@ -120,7 +127,7 @@ def _odd(fabs: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.
 
 def _even(fabs: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     def wrapped(s):
-        if np.ndim(s) == 0:
+        if _scalar(s):
             return fabs(abs(float(s)))
         return fabs(np.abs(s))
     return wrapped
@@ -151,7 +158,7 @@ def _branchwise(rows: tuple) -> Callable:
     *bounded, (_, _, tail) = rows
 
     def evaluate(k):
-        if np.ndim(k) == 0:
+        if _scalar(k):
             k = float(k)
             for bound, shut, fn in bounded:
                 if k <= bound if shut else k < bound:

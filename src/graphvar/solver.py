@@ -1,7 +1,10 @@
 """Numerical critical-point finder for the graph systems.
 
 Strategy: multistart gradient descent with Armijo backtracking drives each
-random start into a basin; once the residual is small a damped Newton polish
+random start into a basin.  A line search whose first trial fails tries its
+next 2, then 4, 8, ... halvings together, one batched action call a round,
+and takes the first that passes: the trial points of halving one at a time,
+in fewer calls.  Once the residual is small a damped Newton polish
 (finite-difference Hessian, Levenberg damping) finishes to the target
 tolerance.  Every Newton Jacobian and Hessian is a compressed central
 difference (_fd_jacobian) on the pattern the problem owns,
@@ -62,15 +65,18 @@ diverge have found W points, W >= 1, it stops when N > W + 2 and the
 posterior estimate W (N - 1) / (N - W - 2) of the number of points is
 below W + 0.5 (N = 8 for W = 1, 17 for W = 2); ``SolverConfig.starts`` is
 the last start index it may reach, and no start is launched past the
-rule's horizon (see _multistart).  Diverged starts are left out of N:
-counted, the rule would stop before the second point in 18 of the 44
-acceptance solves at seeds 0-9 and 42.  The rule stops 13 of them: all 11
-on example 6.2 after 17 starts, whose last new point came at start 4 at
-the latest (12 or more starts that did not diverge repeated before the
-stop), and 2 on example 6.1, at 53 and 64 starts, after new points at
-starts 4 and 10 (14 and 13 repeats).  The other 31 run to start 64, with
-their last new point at start 30 at the latest.  No solve loses a point,
-and the starts skipped held 36,944 of their 121,147 descent iterations.
+rule's horizon (see _horizon): where it would stop if every later start
+repeated a known point, each start counting toward N at the rate of the
+random starts resolved so far (the origin start left out).  Diverged
+starts are left out of N: counted, the rule would stop before the second
+point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The rule
+stops 13 of them: all 11 on example 6.2 after 17 starts, whose last new
+point came at start 4 at the latest (12 or more starts that did not
+diverge repeated before the stop), and 2 on example 6.1, at 53 and 64
+starts, after new points at starts 4 and 10 (14 and 13 repeats).  The
+other 31 run to start 64, with their last new point at start 30 at the
+latest.  No solve loses a point, and the starts skipped held 36,944 of
+their 121,147 descent iterations.
 
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k).  The starts descend in lockstep as the
@@ -296,8 +302,13 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
     Per column this is gradient descent with Armijo backtracking (halving),
     a Barzilai-Borwein guess seeding each line search; the residuals of all
     columns are one batched call, and so is each round of trial actions.
+    Round 0 tries each column's t; a column still searching in round r >= 1
+    tries its next 2^r halvings at once and takes the first that passes.
+    These are the trial points of halving one at a time, in the same order
+    (t 0.5^k is exact for t > 1e-17), so each column takes the same step.
     A column stops for Newton at the budget, once its residual is below
-    NEWTON_SWITCH or when its line search stalls; it stops "captured" or
+    NEWTON_SWITCH or when its line search stalls (its next trial would be
+    at t <= 1e-17; such rungs are not tried); it stops "captured" or
     "diverged" by the early exits of the module docstring.
 
     The per-column arithmetic runs on (columns, n_dofs) arrays: each
@@ -344,6 +355,7 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
         good = (dgg > 0.0) & np.isfinite(bb) & (bb > 0.0)
         t[np.flatnonzero(warm)[good]] = np.minimum(bb[good], 1e6)
     idx = np.arange(len(run))  # the columns still searching
+    width = 1  # rungs per column this round
     while idx.size:
         stalled = t[idx] <= 1e-17
         for i in idx[stalled]:
@@ -351,20 +363,23 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
         idx = idx[~stalled]
         if not idx.size:
             break
-        ti = t[idx]
-        cand = z[idx] - ti[:, None] * grad[idx]
+        ti = np.repeat(t[idx], width) * np.tile(0.5 ** np.arange(width), idx.size)
+        keep = ti > 1e-17
+        rows, ti = np.repeat(idx, width)[keep], ti[keep]
+        cand = z[rows] - ti[:, None] * grad[rows]
         trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))
-        ok = np.isfinite(trial) & (trial <= act[idx] - ARMIJO_C * ti * gg[idx])
-        diverged = (trial < DIVERGE_ACTION) | (np.max(np.abs(cand), axis=1) > bound)
-        for j in np.flatnonzero(ok):
-            c = run[idx[j]]
-            c.prev_z, c.prev_grad = c.z, grad[idx[j]].copy()
+        ok = np.isfinite(trial) & (trial <= act[rows] - ARMIJO_C * ti * gg[rows])
+        done, first = np.unique(rows[ok], return_index=True)
+        for j in np.flatnonzero(ok)[first]:
+            c = run[rows[j]]
+            c.prev_z, c.prev_grad = c.z, grad[rows[j]].copy()
             c.z, c.action, c.t_warm = cand[j].copy(), float(trial[j]), float(ti[j])
             c.iters += 1
-            if diverged[j]:
+            if trial[j] < DIVERGE_ACTION or np.max(np.abs(cand[j])) > bound:
                 c.stop = "diverged"
-        idx = idx[~ok]
-        t[idx] *= 0.5
+        idx = idx[~np.isin(idx, done)]
+        t[idx] *= 0.5 ** width
+        width *= 2
 
 
 def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
@@ -599,22 +614,32 @@ def _stop_estimate(n: int, w: int) -> Optional[float]:
     return None
 
 
-def _horizon(lo: int, n: int, w: int, cols: Sequence[_Column]) -> int:
-    """One past the last start to launch once a start has found a point
-    (w >= 1), with starts 0 .. lo - 1 resolved (n of them not diverged) and
-    `cols` those launched after them: where the rule would stop if every
-    later start that does not diverge repeated a known point.
+def _horizon(counts: Sequence[bool], w: int, cols: Sequence[_Column], cap: int) -> int:
+    """One past the last start to launch, at most `cap`, with starts 0 ..
+    len(counts) - 1 resolved (counts[i]: start i did not diverge), w points
+    found and `cols` the starts launched after them: where the rule would
+    stop if every later start that does not diverge repeated a known point.
+    While w = 0 it takes W = 1, the rule's earliest stop, after at least one
+    more start that counts.
 
     A launched column that stopped "diverged" or "captured" counts as
     resolved, since it can end no other way.  Each of the others, and each
     start not launched yet, is expected to be one of N at the rate of the
-    starts counted so far."""
-    diverged = sum(c.stop == "diverged" for c in cols)
-    captured = sum(c.stop == "captured" for c in cols)
-    more = next(k for k in count(0) if _stop_estimate(n + captured + k, w) is not None)
-    unknown = len(cols) - diverged - captured
-    rate = (n + captured) / (lo + diverged + captured)
-    return lo + len(cols) + max(0, math.ceil(more / rate - unknown))
+    random starts resolved so far (index >= 1; the origin start is left
+    out), or at rate 1 while none has.  Once every resolved random start
+    diverged, the rate is 0 and every start up to `cap` is launched."""
+    lo, ends = len(counts), [c.stop for c in cols]
+    captured = ends.count("captured")
+    more = next(k for k in count(0 if w else 1)
+                if _stop_estimate(sum(counts) + captured + k, max(w, 1)) is not None)
+    unknown = len(ends) - captured - ends.count("diverged")
+    drawn = ends[1:] if lo == 0 else ends  # the launched random starts
+    hits = sum(counts[1:]) + drawn.count("captured")
+    tries = len(counts[1:]) + drawn.count("captured") + drawn.count("diverged")
+    if tries and not hits:
+        return cap
+    rate = hits / tries if tries else 1.0
+    return min(cap, lo + len(ends) + max(0, math.ceil(more / rate - unknown)))
 
 
 def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
@@ -637,23 +662,26 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
     stopping decisions are the serial loop's.  (A descent that passed
     through a ball could in principle go on to diverge or to another
     point; none did in the 44 acceptance solves or the two seed-42 16-step
-    sweeps.)  The launched starts are a window: while no start has found
-    a point it doubles with each resolution; after that it reaches up to
-    the `_horizon`, re-estimated at every step, and no further, so a start
-    is launched past the stop only when the starts before it diverge less
-    often than those seen (13 starts in 2 of the 44 solves of the module
-    docstring).  The window sets only how much work is speculative and how
-    many columns share a step.
+    sweeps.)  The launched starts are a window that reaches up to the
+    `_horizon`, re-estimated at every step, and no further: at the rate
+    the random starts resolved so far count toward N (rate 1 before one
+    has, W taken as 1 before a point is found), and to start cfg.starts
+    once every resolved random start diverged.  So a start is launched past
+    the stop only when the starts before it diverge less often than those
+    seen (13 starts in 2 of the 44 solves of the module docstring).  The
+    window sets only how much work is speculative and how many columns
+    share a step.
     """
     bound = _start_bound(prob)
     budget = min(cfg.max_iters, DESCENT_BUDGET)
     balls = _capture_balls(prob, accepted)
-    cols: list[_Column] = []  # the launched descents of starts lo, lo + 1, ...
-    lo = n = w = 0  # starts resolved, those not diverged, those that found a point
+    cols: list[_Column] = []  # the launched descents of the starts after the resolved
+    counts: list[bool] = []  # per resolved start: it did not diverge
+    w = 0  # points found
     with np.errstate(over="ignore", invalid="ignore"):
-        while lo <= cfg.starts:
-            end = _horizon(lo, n, w, cols) if w else lo + 2 ** lo
-            pending = range(lo + len(cols), min(end, cfg.starts + 1))
+        while len(counts) <= cfg.starts:
+            lo = len(counts)
+            pending = range(lo + len(cols), _horizon(counts, w, cols, cfg.starts + 1))
             if pending:
                 cols += _launch(prob, lam, [_start_vector(prob, cfg, i, radius)
                                             for i in pending])
@@ -663,8 +691,9 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
             known = len(accepted)
             raw = _finish(prob, lam, cols.pop(0), cfg, balls)
             accept("start", lo, raw)
-            lo, n, w = lo + 1, n + (raw.outcome != "diverged"), w + (raw.outcome == "new")
-            if _stop_estimate(n, w) is not None:
+            counts.append(raw.outcome != "diverged")
+            w += raw.outcome == "new"
+            if _stop_estimate(sum(counts), w) is not None:
                 return
             balls += _capture_balls(prob, accepted[known:])
 

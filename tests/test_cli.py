@@ -51,6 +51,14 @@ def test_validate_non_number_exit2(tmp_path, capsys, field, bad):
     assert f"{field} of " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, bad", [("id", True), ("id", 1.0), ("a", 0), ("b", None)])
+def test_validate_non_string_id_exit2(tmp_path, capsys, field, bad):
+    doc = json.loads(json.dumps(GOOD))
+    (doc["vertices"] if field == "id" else doc["edges"])[0][field] = bad
+    assert main(["validate", write_graph(tmp_path, doc)]) == 2
+    assert f"{field} of " in capsys.readouterr().err
+
+
 def test_validate_missing_file_exit1(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
@@ -597,6 +605,18 @@ def test_problem_document_non_number_exits_2(tmp_path, capsys, make_doc, field, 
     assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and want in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", [1.7, 0.0])
+def test_problem_document_lattice_radius_must_be_an_integer(tmp_path, capsys, radius):
+    # a radius of 1.7 built the radius-1 ball
+    doc = {**_scalar_problem_doc(),
+           "graph": {"builtin": "lattice_ball", "params": {"radius": radius}}}
+    ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"
+    ppath.write_text(json.dumps(doc))
+    assert main(["interval", "--problem", str(ppath), "-o", str(out)]) == 2
+    assert "lattice_ball radius must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

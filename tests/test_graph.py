@@ -125,6 +125,28 @@ def test_lattice_ball_bad_radius():
         gv.lattice_ball(0)
     with pytest.raises(BadParam):
         gv.generate_builtin("lattice_ball", radius=0)
+    # 1.7 was truncated to the radius-1 ball
+    for radius in (1.7, 0.5, np.nan, np.inf, True, "2"):
+        with pytest.raises(BadParam, match="must be an integer >= 1"):
+            gv.lattice_ball(radius)
+        with pytest.raises(BadParam, match="must be an integer >= 1"):
+            gv.generate_builtin("lattice_ball", radius=radius)
+        with pytest.raises(BadParam, match="must be an integer >= 1"):
+            gv.lattice_ball_center(radius)
+    # integral values are taken, as the Sobolev orders are
+    for radius in (2.0, np.int64(2), np.float64(2.0)):
+        assert gv.lattice_ball(radius) == gv.lattice_ball(2)
+        assert gv.lattice_ball_center(radius) == gv.lattice_ball_center(2)
+
+
+@pytest.mark.parametrize("field, bad", [("id", True), ("id", 1.0), ("a", 1), ("b", None)])
+def test_build_graph_takes_only_string_ids(field, bad):
+    # {"id": true} was read as vertex "True" and {"id": 1.0} as "1.0"
+    doc = {"vertices": [{"id": "a", "mu": 1.0}, {"id": "b", "mu": 1.0}],
+           "edges": [{"a": "a", "b": "b", "w": 2.0}]}
+    (doc["vertices"] if field == "id" else doc["edges"])[0][field] = bad
+    with pytest.raises(BadParam, match=f"^{field} of an? (vertex|edge) must be a string"):
+        gv.build_graph(doc)
 
 
 def test_generate_builtin_dispatch():

@@ -309,3 +309,14 @@ def test_nonlinearity_doc_round_trip(m61, m62):
     table_doc = {"table": {"s": [0.0, 1.0], "t": [0.0, 1.0],
                            "values": [[0.0, 0.0], [1.0, 1.0]]}}
     assert float(nonlinearity_from_doc(table_doc).F(0.5, 0.5)) == pytest.approx(0.5)
+
+
+def test_scalar_fast_path_takes_what_np_ndim_calls_0_d(m61):
+    from graphvar.nonlinearity import _scalar
+    for x in (1.5, 2, True, np.float64(1.5), np.float32(1.5), np.int64(3), np.array(1.5),
+              np.zeros(3), np.zeros((2, 2)), [1.0, 2.0], (1.0,)):
+        assert _scalar(x) == (np.ndim(x) == 0), x
+    # a list still takes the array path
+    s, t = [0.5, -9.0, 30.0], [2.0, -0.5, 0.0]
+    assert np.array_equal(m61.F(s, t), m61.F(np.array(s), np.array(t)))
+    assert m61.F(np.array(0.5), np.array(2.0)) == m61.F(0.5, 2.0)

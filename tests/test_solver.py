@@ -433,6 +433,109 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
     assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
+def columns(*stops):
+    return [solver._Column(np.zeros(1), 0.0, stop=stop) for stop in stops]
+
+
+def test_horizon_takes_rate_1_before_a_random_start_resolves():
+    # W = 1 stops at N = 8: eight starts, counting the launched ones
+    assert solver._horizon([], 0, [], 65) == 8
+    assert solver._horizon([], 0, columns(None, None, None), 65) == 8
+    assert solver._horizon([True], 1, [], 65) == 8
+    assert solver._horizon([True], 1, columns(None, None, None), 65) == 8
+    # the origin diverged: still rate 1, and one more start must count
+    assert solver._horizon([False], 0, [], 65) == 9
+    # with no point found the rule cannot stop before a start that counts
+    assert solver._horizon([True] * 9, 0, [], 65) == 10
+
+
+@pytest.mark.parametrize("origin", [True, False])
+def test_horizon_leaves_the_origin_start_out_of_the_rate(origin):
+    # resolved random starts 1-4 count at rate 1/2: each of the 6 - origin
+    # more starts that W = 1 needs takes 2 starts
+    assert solver._horizon([origin, True, False, True, False], 1, [], 65) == (
+        5 + 2 * (6 - origin))
+    # launched and unresolved, the origin column is left out as well: a
+    # captured and a diverged random start give rate 1/2 whatever it holds
+    for stop, want in ((None, 4 + 2 * 7 - 2), ("diverged", 4 + 2 * 7 - 1)):
+        assert solver._horizon([], 0, columns(stop, "captured", "diverged", None), 65) == want
+
+
+def test_horizon_launches_to_the_cap_once_every_random_start_diverged():
+    assert solver._horizon([True, False, False], 1, columns(None, "diverged"), 65) == 65
+    assert solver._horizon([True], 1, columns("diverged", None), 40) == 40
+    assert solver._horizon([], 0, columns(None, "diverged"), 65) == 65
+    # one random start that counts brings the rate back
+    assert solver._horizon([True, False, True], 1, [], 65) < 65
+
+
+@pytest.mark.parametrize("news", [(0,), (0, 3), (2, 9, 20)])
+def test_horizon_launches_nothing_past_the_stop_without_divergence(news):
+    # every start counts, and those in `news` find a point: the window
+    # reaches exactly the start at which the rule stops
+    counts, w, launched = [], 0, 0
+    while True:
+        running = columns(*[None] * (launched - len(counts)))
+        launched = solver._horizon(counts, w, running, 65)
+        w += len(counts) in news
+        counts.append(True)
+        if solver._stop_estimate(len(counts), w) is not None:
+            break
+    assert launched == len(counts)
+
+
+class Quartic:
+    """J(z) = z0^2 / 2 + z1^2 / 2 - z1^4 / 4 + z2^2 / 2, column by column in
+    elementwise arithmetic, so a batch has the bits of its columns alone.
+    The residual (mu 1) is the gradient in z0 and z1; in z2 it is -100 z2,
+    so a step along it climbs unless it is too short to move z2 at all."""
+
+    mu_dofs = np.ones(3)
+
+    def action_vec(self, lam, z):
+        return 0.5 * z[0] ** 2 + 0.5 * z[1] ** 2 - 0.25 * z[1] ** 4 + 0.5 * z[2] ** 2
+
+    def residual_vec(self, lam, z):
+        return np.stack([z[0], z[1] - z[1] ** 3, -100.0 * z[2]])
+
+
+def plain_backtracking(prob, col, bound):
+    """The reference line search: one trial per action call, halving t
+    from min(2 t_warm, 1e6) until Armijo holds or t <= 1e-17.  Returns
+    (z, action, t_warm, iters, stop, halvings)."""
+    grad = prob.mu_dofs * prob.residual_vec(0.0, col.z)
+    gg = float(np.dot(grad, grad))
+    t, halvings = min(2.0 * col.t_warm, 1e6), 0
+    while t > 1e-17:
+        cand = col.z - t * grad
+        trial = float(prob.action_vec(0.0, cand))
+        if np.isfinite(trial) and trial <= col.action - solver.ARMIJO_C * t * gg:
+            diverged = trial < solver.DIVERGE_ACTION or np.max(np.abs(cand)) > bound
+            return cand, trial, t, col.iters + 1, "diverged" if diverged else None, halvings
+        t, halvings = 0.5 * t, halvings + 1
+    return col.z, col.action, col.t_warm, col.iters, "polish", halvings
+
+
+def test_backtracking_ladder_equals_one_trial_per_call():
+    # along z0 Armijo holds for t <= 1.9998, so t_warm = 2^k / 2 needs k
+    # halvings; along z1 the quartic falls without bound and the step leaves
+    # |z| = 10; along z2 every trial climbs down to the stall at 1e-17, and
+    # below 1.1e-18 a trial would pass, as z2 no longer moves
+    prob, bound = Quartic(), 10.0
+    specs = [((1.0, 0.0, 0.0), 0.25), ((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 2.0),
+             ((1.0, 0.0, 0.0), 4.0), ((1.0, 0.0, 0.0), 1024.0), ((1.0, 0.0, 0.0), 5e5),
+             ((0.0, 0.0, 1.0), 1.0), ((0.0, 3.0, 0.0), 1.0), ((0.5, 0.0, 0.0), 8.0)]
+    cols = [solver._Column(np.array(z), float(prob.action_vec(0.0, np.array(z))),
+                           t_warm=t_warm) for z, t_warm in specs]
+    want = [plain_backtracking(prob, c, bound) for c in cols]
+    assert [h for *_, h in want] == [0, 1, 2, 3, 11, 19, 58, 0, 4]
+    assert [stop for *_, stop, _ in want] == [None] * 6 + ["polish", "diverged", None]
+    solver._descent_step(prob, 0.0, cols, [], bound, 100)
+    for c, (z, action, t_warm, iters, stop, _) in zip(cols, want):
+        assert (c.z.tobytes(), c.action, c.t_warm, c.iters, c.stop) == (
+            z.tobytes(), action, t_warm, iters, stop)
+
+
 @pytest.mark.parametrize("w, stop", [(0, None), (1, 8), (2, 17), (3, 30)])
 def test_stopping_rule_first_stops_at(w, stop):
     # from N = stop on, W (N - 1) / (N - W - 2) < W + 0.5; a multistart that
