@@ -110,8 +110,8 @@ class NonlinearityModel:
 
 
 def _scalar(x) -> bool:
-    """np.ndim(x) == 0 for floats, ints, NumPy scalars and arrays, by type
-    tests that cost a tenth of np.ndim's microsecond."""
+    """Whether np.ndim(x) == 0, for floats, ints, NumPy scalars and arrays,
+    by type tests that cost a tenth of np.ndim's microsecond."""
     return isinstance(x, (float, int, np.generic)) or (isinstance(x, np.ndarray)
                                                        and not x.ndim)
 

@@ -308,7 +308,7 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
     (t 0.5^k is exact for t > 1e-17), so each column takes the same step.
     A column stops for Newton at the budget, once its residual is below
     NEWTON_SWITCH or when its line search stalls (its next trial would be
-    at t <= 1e-17; such rungs are not tried); it stops "captured" or
+    at t <= 1e-17; a rung there is never taken); it stops "captured" or
     "diverged" by the early exits of the module docstring.
 
     The per-column arithmetic runs on (columns, n_dofs) arrays: each
@@ -363,21 +363,23 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
         idx = idx[~stalled]
         if not idx.size:
             break
-        ti = np.repeat(t[idx], width) * np.tile(0.5 ** np.arange(width), idx.size)
-        keep = ti > 1e-17
-        rows, ti = np.repeat(idx, width)[keep], ti[keep]
+        ti = (t[idx, None] * 0.5 ** np.arange(width)).ravel()  # rung j of idx[i] at i width + j
+        rows = np.repeat(idx, width)
         cand = z[rows] - ti[:, None] * grad[rows]
         trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))
-        ok = np.isfinite(trial) & (trial <= act[rows] - ARMIJO_C * ti * gg[rows])
-        done, first = np.unique(rows[ok], return_index=True)
-        for j in np.flatnonzero(ok)[first]:
+        ok = (np.isfinite(trial) & (trial <= act[rows] - ARMIJO_C * ti * gg[rows])
+              & (ti > 1e-17)).reshape(-1, width)
+        hit = ok.any(axis=1)
+        first = np.flatnonzero(hit) * width + ok.argmax(axis=1)[hit]  # the first rung that passes
+        far = (trial[first] < DIVERGE_ACTION) | (np.max(np.abs(cand[first]), axis=1) > bound)
+        for j, diverged in zip(first, far):
             c = run[rows[j]]
             c.prev_z, c.prev_grad = c.z, grad[rows[j]].copy()
             c.z, c.action, c.t_warm = cand[j].copy(), float(trial[j]), float(ti[j])
             c.iters += 1
-            if trial[j] < DIVERGE_ACTION or np.max(np.abs(cand[j])) > bound:
+            if diverged:
                 c.stop = "diverged"
-        idx = idx[~np.isin(idx, done)]
+        idx = idx[~hit]
         t[idx] *= 0.5 ** width
         width *= 2
 
