@@ -317,13 +317,14 @@ def _lattice_id(i: int, j: int, radius: int) -> str:
     return f"v{i + radius:02d}_{j + radius:02d}"
 
 
-def _radius(radius) -> int:
-    """A lattice-ball radius as an int: an integral number >= 1, as the
-    Sobolev orders are taken."""
-    if not (isinstance(radius, Real) and not isinstance(radius, bool)
-            and float(radius).is_integer() and radius >= 1):
-        raise BadParam(f"lattice_ball radius must be an integer >= 1, got {radius!r}")
-    return int(radius)
+def positive_integer(value, what: str) -> int:
+    """An integral number >= 1 (an int, an integral float or a NumPy
+    integer, not a bool) as an int: a lattice-ball radius or a Sobolev
+    order."""
+    if not (isinstance(value, Real) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= 1):
+        raise BadParam(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def lattice_ball(radius: int) -> WeightedGraph:
@@ -333,7 +334,7 @@ def lattice_ball(radius: int) -> WeightedGraph:
     weight 2, mu == 1.  The center has exactly 4 neighbors.  This is the
     Dirichlet truncation used for locally finite problems.
     """
-    radius = _radius(radius)
+    radius = positive_integer(radius, "lattice_ball radius")
     span = range(-radius, radius + 1)
     ids = [_lattice_id(i, j, radius) for i in span for j in span]
     edges = []
@@ -348,7 +349,7 @@ def lattice_ball(radius: int) -> WeightedGraph:
 
 def lattice_ball_center(radius: int) -> str:
     """Vertex id of the center of lattice_ball(radius)."""
-    return _lattice_id(0, 0, _radius(radius))
+    return _lattice_id(0, 0, positive_integer(radius, "lattice_ball radius"))
 
 
 def generate_builtin(name: str, **params) -> WeightedGraph:

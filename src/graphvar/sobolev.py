@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import m_grad_norm_arr
 from .errors import BadParam, NonPositivePotential
-from .graph import VertexFunction, WeightedGraph, check_domain
+from .graph import VertexFunction, WeightedGraph, check_domain, positive_integer
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,10 @@ class SobolevSpec:
     h: VertexFunction
 
     def __post_init__(self):
-        m, l = self.m, self.l
-        if not (isinstance(m, Real) and not isinstance(m, bool)
-                and float(m).is_integer() and m >= 1):
-            raise BadParam(f"Sobolev order m must be an integer >= 1, got {m!r}")
+        m, l = positive_integer(self.m, "Sobolev order m"), self.l
         if not (isinstance(l, Real) and 1.0 < l < np.inf):
             raise BadParam(f"Sobolev exponent l must be finite and > 1, got {l!r}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "l", float(l))
         _check_potential(self.h.values)
 

@@ -363,7 +363,8 @@ def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
         idx = idx[~stalled]
         if not idx.size:
             break
-        ti = (t[idx, None] * 0.5 ** np.arange(width)).ravel()  # rung j of idx[i] at i width + j
+        # rung j of column idx[i] sits at i * width + j of one flat batch
+        ti = (t[idx, None] * 0.5 ** np.arange(width)).ravel()
         rows = np.repeat(idx, width)
         cand = z[rows] - ti[:, None] * grad[rows]
         trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))

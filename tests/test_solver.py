@@ -519,8 +519,8 @@ def plain_backtracking(prob, col, bound):
 def test_backtracking_ladder_equals_one_trial_per_call():
     # along z0 Armijo holds for t <= 1.9998, so t_warm = 2^k / 2 needs k
     # halvings; along z1 the quartic falls without bound and the step leaves
-    # |z| = 10; along z2 every trial climbs down to the stall at 1e-17, and
-    # below 1.1e-18 a trial would pass, as z2 no longer moves
+    # |z| = 10; along z2 every trial climbs until the search stalls at
+    # 1e-17, and a trial below 1.1e-18 would pass, as z2 no longer moves
     prob, bound = Quartic(), 10.0
     specs = [((1.0, 0.0, 0.0), 0.25), ((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 2.0),
              ((1.0, 0.0, 0.0), 4.0), ((1.0, 0.0, 0.0), 1024.0), ((1.0, 0.0, 0.0), 5e5),

@@ -33,7 +33,7 @@ def _split(line: str) -> tuple[str, dict[str, list[str]]]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python3 tools/gate_diff.py A B", file=sys.stderr)
         return 2
     with open(argv[1], encoding="utf-8") as fa, open(argv[2], encoding="utf-8") as fb:
         lines_a, lines_b = fa.readlines(), fb.readlines()
