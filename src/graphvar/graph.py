@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -317,13 +317,14 @@ def _lattice_id(i: int, j: int, radius: int) -> str:
     return f"v{i + radius:02d}_{j + radius:02d}"
 
 
-def positive_integer(value, what: str) -> int:
-    """An integral number >= 1 (an int, an integral float or a NumPy
-    integer, not a bool) as an int: a lattice-ball radius or a Sobolev
-    order."""
+def positive_integer(value, what: str, least: int = 1) -> int:
+    """An integral number >= least (an int, an integral float or a NumPy
+    integer, not a bool) as an int: a lattice-ball radius, a Sobolev order,
+    a solver's start count, iteration cap or seed (least 0)."""
     if not (isinstance(value, Real) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= 1):
-        raise BadParam(f"{what} must be an integer >= 1, got {value!r}")
+            and (isinstance(value, Integral) or float(value).is_integer())
+            and value >= least):
+        raise BadParam(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -63,11 +63,12 @@ The multistart stops once its remaining starts can only repeat, by the
 Bayesian rule of Boender & Rinnooy Kan (1987): after N starts that did not
 diverge have found W points, W >= 1, it stops when N > W + 2 and the
 posterior estimate W (N - 1) / (N - W - 2) of the number of points is
-below W + 0.5 (N = 8 for W = 1, 17 for W = 2); ``SolverConfig.starts`` is
-the last start index it may reach, and no start is launched past the
-rule's horizon (see _horizon): where it would stop if every later start
-repeated a known point, each start counting toward N at the rate of the
-random starts resolved so far (the origin start left out).  Diverged
+below W + 0.5 (from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2);
+``SolverConfig.starts`` is the last start index it may reach, and no start
+is launched past the rule's horizon (see _horizon): where it would stop if
+every later start repeated a known point, each start counting toward N at
+the rate of the random starts resolved so far (the origin start left
+out).  Diverged
 starts are left out of N: counted, the rule would stop before the second
 point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The rule
 stops 13 of them: all 11 on example 6.2 after 17 starts, whose last new
@@ -79,12 +80,14 @@ latest.  No solve loses a point, and the starts skipped held 36,944 of
 their 121,147 descent iterations.
 
 Reproducibility: start k draws its coordinates from a counter-based
-generator keyed by (seed, k).  The starts descend in lockstep as the
-columns of batched evaluations, which equal the one-column ones bit for
-bit, and resolve in index order.  The solutions and stopping decisions are
-those of running the starts one after another and stopping by the same
-rule; only a start that loop labels "captured" may end differently (see
-_multistart).
+generator keyed by (seed, k).  The starts descend in lockstep, each a row
+of one array state (_Descents) whose running rows are the columns of
+batched evaluations; those equal the one-column ones bit for bit, each row
+is updated by row assignment alone, and the starts resolve in index order.
+`minimize` runs the same state with one row.  The solutions and stopping
+decisions are those of running the starts one after another and stopping
+by the same rule; only a start that loop labels "captured" may end
+differently (see _multistart).
 
 Exponents below 2 are rejected (the zero-order term |s|^(p-2) s is not
 Lipschitz there); interval computations alone support the full range.
@@ -96,14 +99,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress, count
+from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BadParam, ConvergedToKnown, SingularExponent
 from .functionals import Problem, State, StatePair
-from .graph import VertexFunction
+from .graph import VertexFunction, positive_integer
 from .nonlinearity import derivative_consistency
 
 NEWTON_SWITCH = 1e-3
@@ -132,14 +135,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise BadParam(f"starts must be >= 1, got {self.starts}")
-        if not (0.0 < self.grad_tol < np.inf and 0.0 < self.distinct_tol < np.inf):
-            raise BadParam("tolerances must be positive and finite")
-        if self.max_iters < 1:
-            raise BadParam(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 <= self.seed < 2 ** 128:  # the key range of the start generator
-            raise BadParam(f"seed must lie in [0, 2**128), got {self.seed}")
+        seed = self.seed
+        if isinstance(seed, Real) and not 0 <= seed < 2 ** 128:  # the start generator's keys
+            raise BadParam(f"seed must lie in [0, 2**128), got {seed!r}")
+        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, positive_integer(getattr(self, name), name, least))
+        for name in ("grad_tol", "distinct_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and not isinstance(value, bool)
+                    and 0.0 < value < np.inf):
+                raise BadParam(f"{name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass
@@ -265,25 +271,43 @@ DESCENT_BUDGET = 1500  # ill-conditioned basins are finished by the Newton polis
 _Ball = tuple[np.ndarray, float, float]
 
 
-@dataclass
-class _Column:
-    """One descent between lockstep steps.  `stop` stays None while it
-    runs, then names how it ended: "polish" (hand over to Newton),
-    "captured" or "diverged"."""
-
-    z: np.ndarray
-    action: float
-    iters: int = 0
-    t_warm: float = 1.0
-    prev_z: Optional[np.ndarray] = None
-    prev_grad: Optional[np.ndarray] = None
-    stop: Optional[str] = None
+# How a descent stands between lockstep steps: running, or how it stopped,
+# "polish" (hand over to Newton), "captured" or "diverged".
+RUNNING, POLISH, CAPTURED, DIVERGED = range(4)
 
 
-def _launch(prob: Problem, lam: float, starts: Sequence[np.ndarray]) -> list[_Column]:
-    zs = [np.asarray(z0, dtype=float).copy() for z0 in starts]
-    actions = prob.action_vec(lam, np.stack(zs, axis=1))
-    return [_Column(z, float(a)) for z, a in zip(zs, actions)]
+class _Descents:
+    """Descents in lockstep, one row each: iterate `z`, the iterate and
+    gradient of the step before (`prev_z`, `prev_grad`, C-contiguous
+    (rows, n_dofs) arrays), and per row its `action`, BB warm start
+    `t_warm`, accepted steps `iters` and `stop` code."""
+
+    def __init__(self, z: np.ndarray, action: np.ndarray):
+        rows = len(z)
+        self.z, self.action = z, action
+        self.prev_z, self.prev_grad = np.zeros_like(z), np.zeros_like(z)
+        self.t_warm = np.ones(rows)
+        self.iters = np.zeros(rows, dtype=np.int64)
+        self.stop = np.full(rows, RUNNING, dtype=np.int8)
+
+    def __len__(self) -> int:
+        return len(self.stop)
+
+    def append(self, more: _Descents) -> None:
+        for name, rows in vars(more).items():
+            setattr(self, name, np.concatenate([getattr(self, name), rows]))
+
+    def pop_first(self) -> tuple[np.ndarray, float, int, int]:
+        """Take row 0 off: its (z, action, iters, stop)."""
+        first = self.z[0].copy(), float(self.action[0]), int(self.iters[0]), int(self.stop[0])
+        for name, rows in vars(self).items():
+            setattr(self, name, rows[1:])
+        return first
+
+
+def _launch(prob: Problem, lam: float, starts: Sequence[np.ndarray]) -> _Descents:
+    z = np.array(starts, dtype=float)
+    return _Descents(z, prob.action_vec(lam, np.ascontiguousarray(z.T)))
 
 
 def _start_bound(prob: Problem) -> float:
@@ -295,111 +319,102 @@ def _capture_balls(prob: Problem, accepted: Iterable[_RawPoint]) -> list[_Ball]:
             if (r := prob.wnorm_vec(a.z)) > 0.0]
 
 
-def _descent_step(prob: Problem, lam: float, cols: Sequence[_Column],
-                  balls: Sequence[_Ball], bound: float, budget: int) -> None:
-    """One iteration of every running column, in lockstep.
+def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ball],
+                  bound: float, budget: int) -> None:
+    """One iteration of every running row of `run`, in lockstep.
 
-    Per column this is gradient descent with Armijo backtracking (halving),
+    Per row this is gradient descent with Armijo backtracking (halving),
     a Barzilai-Borwein guess seeding each line search; the residuals of all
-    columns are one batched call, and so is each round of trial actions.
-    Round 0 tries each column's t; a column still searching in round r >= 1
+    rows are one batched call, and so is each round of trial actions.
+    Round 0 tries each row's t; a row still searching in round r >= 1
     tries its next 2^r halvings at once and takes the first that passes.
     These are the trial points of halving one at a time, in the same order
-    (t 0.5^k is exact for t > 1e-17), so each column takes the same step.
-    A column stops for Newton at the budget, once its residual is below
-    NEWTON_SWITCH or when its line search stalls (its next trial would be
-    at t <= 1e-17; a rung there is never taken); it stops "captured" or
-    "diverged" by the early exits of the module docstring.
+    (t 0.5^k is exact for t > 1e-17), so each row takes the same step.
+    A row stops POLISH (for Newton) at the budget, once its residual is
+    below NEWTON_SWITCH or when its line search stalls (its next trial
+    would be at t <= 1e-17; a rung there is never taken); it stops CAPTURED
+    or DIVERGED by the early exits of the module docstring.
 
-    The per-column arithmetic runs on (columns, n_dofs) arrays: each
-    reduction is one call over C-contiguous rows (vecdot is the BLAS dot of
-    the 1-D np.dot), and each update one array expression, so every column
-    gets the bits of stepping it alone.  The columns keep copies of their
-    rows, not views that would hold a whole batch.
+    The running rows are selected by index into (rows, n_dofs) arrays:
+    each reduction is one call over C-contiguous rows (vecdot is the BLAS
+    dot of the 1-D np.dot), each update one array expression, and each
+    accepted rung is written back by row assignment, so every row gets the
+    bits of stepping it alone.
     """
-    for c in cols:
-        if c.stop is None and c.iters >= budget:
-            c.stop = "polish"
-    run = [c for c in cols if c.stop is None]
-    if not run:
+    stop = run.stop
+    stop[(stop == RUNNING) & (run.iters >= budget)] = POLISH
+    idx = np.flatnonzero(stop == RUNNING)  # the rows this step moves
+    if not idx.size:
         return
-    z = np.stack([c.z for c in run])
-    act = np.array([c.action for c in run])
+    z, act = run.z[idx], run.action[idx]
     near = [(rows, zk, radius) for zk, radius, ball_act in balls
             if (rows := np.flatnonzero(act > ball_act)).size]
     if near:
         diffs = np.concatenate([z[rows] - zk for rows, zk, _ in near])
         dists = prob.wnorm_vec(np.ascontiguousarray(diffs.T))
         radii = np.concatenate([np.full(rows.size, radius) for rows, _, radius in near])
-        for i in np.concatenate([rows for rows, _, _ in near])[dists < radii]:
-            run[i].stop = "captured"
-        live = np.array([c.stop is None for c in run])
-        run, z, act = list(compress(run, live)), z[live], act[live]
-        if not run:
+        stop[idx[np.concatenate([rows for rows, _, _ in near])[dists < radii]]] = CAPTURED
+        live = stop[idx] == RUNNING
+        idx, z, act = idx[live], z[live], act[live]
+        if not idx.size:
             return
     res = np.ascontiguousarray(prob.residual_vec(lam, np.ascontiguousarray(z.T)).T)
-    small = np.max(np.abs(res), axis=1) < NEWTON_SWITCH  # false for inf and NaN
-    for c in compress(run, small):
-        c.stop = "polish"
-    run, z, act, res = list(compress(run, ~small)), z[~small], act[~small], res[~small]
+    small = np.abs(res).max(axis=1) < NEWTON_SWITCH  # false for inf and NaN
+    stop[idx[small]] = POLISH
+    keep = ~small
+    idx, z, act, res = idx[keep], z[keep], act[keep], res[keep]
     grad = prob.mu_dofs * res
     gg = np.vecdot(grad, grad)
-    t = np.minimum(2.0 * np.array([c.t_warm for c in run]), 1e6)
-    warm = np.array([c.prev_grad is not None for c in run], dtype=bool)
-    if warm.any():
-        dg = grad[warm] - np.stack([c.prev_grad for c in compress(run, warm)])
-        dz = z[warm] - np.stack([c.prev_z for c in compress(run, warm)])
-        dgg = np.vecdot(dg, dg)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bb = np.vecdot(dz, dg) / dgg
-        good = (dgg > 0.0) & np.isfinite(bb) & (bb > 0.0)
-        t[np.flatnonzero(warm)[good]] = np.minimum(bb[good], 1e6)
-    idx = np.arange(len(run))  # the columns still searching
-    width = 1  # rungs per column this round
-    while idx.size:
-        stalled = t[idx] <= 1e-17
-        for i in idx[stalled]:
-            run[i].stop = "polish"  # stalled line search; give Newton a chance
-        idx = idx[~stalled]
-        if not idx.size:
+    dg, dz = grad - run.prev_grad[idx], z - run.prev_z[idx]
+    dgg = np.vecdot(dg, dg)
+    good = (run.iters[idx] > 0) & (dgg > 0.0)  # a step taken, so prev_z and prev_grad hold it
+    bb = np.divide(np.vecdot(dz, dg), dgg, out=np.zeros_like(dgg), where=good)
+    good &= np.isfinite(bb) & (bb > 0.0)
+    t = np.minimum(np.where(good, bb, 2.0 * run.t_warm[idx]), 1e6)
+    i = np.arange(idx.size)  # the moving rows still searching, as positions in idx
+    width = 1  # rungs per row this round
+    while i.size:
+        stalled = t[i] <= 1e-17
+        stop[idx[i[stalled]]] = POLISH  # stalled line search; give Newton a chance
+        i = i[~stalled]
+        if not i.size:
             break
-        # rung j of column idx[i] sits at i * width + j of one flat batch
-        ti = (t[idx, None] * 0.5 ** np.arange(width)).ravel()
-        rows = np.repeat(idx, width)
+        # rung j of row idx[i[m]] sits at m * width + j of one flat batch
+        ti = (t[i, None] * 0.5 ** np.arange(width)).ravel()
+        rows = np.repeat(i, width)
         cand = z[rows] - ti[:, None] * grad[rows]
         trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))
         ok = (np.isfinite(trial) & (trial <= act[rows] - ARMIJO_C * ti * gg[rows])
               & (ti > 1e-17)).reshape(-1, width)
         hit = ok.any(axis=1)
         first = np.flatnonzero(hit) * width + ok.argmax(axis=1)[hit]  # the first rung that passes
-        far = (trial[first] < DIVERGE_ACTION) | (np.max(np.abs(cand[first]), axis=1) > bound)
-        for j, diverged in zip(first, far):
-            c = run[rows[j]]
-            c.prev_z, c.prev_grad = c.z, grad[rows[j]].copy()
-            c.z, c.action, c.t_warm = cand[j].copy(), float(trial[j]), float(ti[j])
-            c.iters += 1
-            if diverged:
-                c.stop = "diverged"
-        idx = idx[~hit]
-        t[idx] *= 0.5 ** width
+        took, znew, anew = rows[first], cand[first], trial[first]
+        dest = idx[took]
+        run.prev_z[dest], run.prev_grad[dest] = z[took], grad[took]
+        run.z[dest], run.action[dest], run.t_warm[dest] = znew, anew, ti[first]
+        run.iters[dest] += 1
+        stop[dest[(anew < DIVERGE_ACTION) | (np.abs(znew).max(axis=1) > bound)]] = DIVERGED
+        i = i[~hit]
+        t[i] *= 0.5 ** width
         width *= 2
 
 
-def _finish(prob: Problem, lam: float, col: _Column, cfg: SolverConfig,
+def _finish(prob: Problem, lam: float, run: _Descents, cfg: SolverConfig,
             balls: Sequence[_Ball]) -> _RawPoint:
-    """The point a stopped descent ends at: polished by Newton, or as it
-    stopped (its residual not evaluated)."""
-    if col.stop == "polish":
-        return _newton_polish(prob, lam, col.z, cfg, col.iters, balls)
-    if col.stop == "diverged":
-        return _diverged(col.z, col.action, np.inf, col.iters)
-    return _RawPoint(z=col.z, action=col.action, residual_sup=np.inf,
-                     iterations=col.iters, converged=False, outcome="captured")
+    """Take row 0 of `run`, stopped, off: the point it ends at, polished by
+    Newton or as it stopped (its residual not evaluated)."""
+    z, action, iters, stop = run.pop_first()
+    if stop == POLISH:
+        return _newton_polish(prob, lam, z, cfg, iters, balls)
+    if stop == DIVERGED:
+        return _diverged(z, action, np.inf, iters)
+    return _RawPoint(z=z, action=action, residual_sup=np.inf, iterations=iters,
+                     converged=False, outcome="captured")
 
 
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
                 accepted: Optional[Sequence[_RawPoint]] = None) -> _RawPoint:
-    """Descend from z0, then polish with Newton: _descent_step on one column.
+    """Descend from z0, then polish with Newton: _descent_step on one row.
 
     `minimize` passes no `accepted`; the tests pass the points accepted so
     far, to run the starts one after another as the serial reference whose
@@ -416,10 +431,10 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
         bound, balls = _start_bound(prob), _capture_balls(prob, accepted)
     budget = min(cfg.max_iters, DESCENT_BUDGET)
     with np.errstate(over="ignore", invalid="ignore"):
-        col, = _launch(prob, lam, [z0])
-        while col.stop is None:
-            _descent_step(prob, lam, [col], balls, bound, budget)
-        return _finish(prob, lam, col, cfg, balls)
+        run = _launch(prob, lam, [z0])
+        while run.stop[0] == RUNNING:
+            _descent_step(prob, lam, run, balls, bound, budget)
+        return _finish(prob, lam, run, cfg, balls)
 
 
 def _damped_newton(prob: Problem, lam: float, z: np.ndarray, iters: int, cap: int,
@@ -610,39 +625,41 @@ def _perturbation(cfg: SolverConfig, attempt: int, size: int, radius: float) -> 
 def _stop_estimate(n: int, w: int) -> Optional[float]:
     """The multistart's stopping rule (see the module docstring) after n
     resolved starts that did not diverge found w new points: the estimate
-    W (N - 1) / (N - W - 2) where the rule stops, else None.  It first
-    stops at N = 8 for W = 1, 17 for W = 2 and 30 for W = 3."""
+    W (N - 1) / (N - W - 2) where the rule stops, else None.  The estimate
+    falls as N grows and equals W + 0.5 exactly at N = 2 W^2 + 3 W + 2, so
+    the rule stops from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2
+    and 30 for W = 3."""
     if w >= 1 and n > w + 2 and (est := w * (n - 1) / (n - w - 2)) < w + 0.5:
         return est
     return None
 
 
-def _horizon(counts: Sequence[bool], w: int, cols: Sequence[_Column], cap: int) -> int:
+def _horizon(counts: Sequence[bool], w: int, run: _Descents, cap: int) -> int:
     """One past the last start to launch, at most `cap`, with starts 0 ..
     len(counts) - 1 resolved (counts[i]: start i did not diverge), w points
-    found and `cols` the starts launched after them: where the rule would
-    stop if every later start that does not diverge repeated a known point.
-    While w = 0 it takes W = 1, the rule's earliest stop, after at least one
-    more start that counts.
+    found and the rows of `run` the starts launched after them: where the
+    rule would stop if every later start that does not diverge repeated a
+    known point.  That is N = 2 W^2 + 3 W + 3 (see _stop_estimate); while
+    w = 0 it takes W = 1, the rule's earliest stop, after at least one more
+    start that counts.
 
-    A launched column that stopped "diverged" or "captured" counts as
-    resolved, since it can end no other way.  Each of the others, and each
-    start not launched yet, is expected to be one of N at the rate of the
-    random starts resolved so far (index >= 1; the origin start is left
-    out), or at rate 1 while none has.  Once every resolved random start
-    diverged, the rate is 0 and every start up to `cap` is launched."""
-    lo, ends = len(counts), [c.stop for c in cols]
-    captured = ends.count("captured")
-    more = next(k for k in count(0 if w else 1)
-                if _stop_estimate(sum(counts) + captured + k, max(w, 1)) is not None)
-    unknown = len(ends) - captured - ends.count("diverged")
+    A launched row that stopped DIVERGED or CAPTURED counts as resolved,
+    since it can end no other way.  Each of the others, and each start not
+    launched yet, is expected to be one of N at the rate of the random
+    starts resolved so far (index >= 1; the origin start is left out), or
+    at rate 1 while none has.  Once every resolved random start diverged,
+    the rate is 0 and every start up to `cap` is launched."""
+    lo, ends, big_w = len(counts), run.stop.tolist(), max(w, 1)
+    captured = ends.count(CAPTURED)
+    more = max(0 if w else 1, 2 * big_w ** 2 + 3 * big_w + 3 - sum(counts) - captured)
+    unknown = len(ends) - captured - ends.count(DIVERGED)
     drawn = ends[1:] if lo == 0 else ends  # the launched random starts
-    hits = sum(counts[1:]) + drawn.count("captured")
-    tries = len(counts[1:]) + drawn.count("captured") + drawn.count("diverged")
+    hits = sum(counts[1:]) + drawn.count(CAPTURED)
+    tries = len(counts[1:]) + drawn.count(CAPTURED) + drawn.count(DIVERGED)
     if tries and not hits:
         return cap
     rate = hits / tries if tries else 1.0
-    return min(cap, lo + len(ends) + max(0, math.ceil(more / rate - unknown)))
+    return min(cap, lo + len(run) + max(0, math.ceil(more / rate - unknown)))
 
 
 def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
@@ -672,27 +689,32 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
     once every resolved random start diverged.  So a start is launched past
     the stop only when the starts before it diverge less often than those
     seen (13 starts in 2 of the 44 solves of the module docstring).  The
-    window sets only how much work is speculative and how many columns
-    share a step.
+    window sets only how much work is speculative and how many rows share
+    a step.
+
+    The launched descents are the rows of one _Descents state: a launch
+    appends rows, and start lo, once stopped, is row 0, taken off as it
+    resolves.
     """
     bound = _start_bound(prob)
     budget = min(cfg.max_iters, DESCENT_BUDGET)
     balls = _capture_balls(prob, accepted)
-    cols: list[_Column] = []  # the launched descents of the starts after the resolved
+    # the launched descents of the starts after the resolved, row 0 start lo
+    run = _Descents(np.empty((0, prob.n_dofs)), np.empty(0))
     counts: list[bool] = []  # per resolved start: it did not diverge
     w = 0  # points found
     with np.errstate(over="ignore", invalid="ignore"):
         while len(counts) <= cfg.starts:
             lo = len(counts)
-            pending = range(lo + len(cols), _horizon(counts, w, cols, cfg.starts + 1))
+            pending = range(lo + len(run), _horizon(counts, w, run, cfg.starts + 1))
             if pending:
-                cols += _launch(prob, lam, [_start_vector(prob, cfg, i, radius)
-                                            for i in pending])
-            if cols[0].stop is None:
-                _descent_step(prob, lam, cols, balls, bound, budget)
+                run.append(_launch(prob, lam, [_start_vector(prob, cfg, i, radius)
+                                               for i in pending]))
+            if run.stop[0] == RUNNING:
+                _descent_step(prob, lam, run, balls, bound, budget)
                 continue
             known = len(accepted)
-            raw = _finish(prob, lam, cols.pop(0), cfg, balls)
+            raw = _finish(prob, lam, run, cfg, balls)
             accept("start", lo, raw)
             counts.append(raw.outcome != "diverged")
             w += raw.outcome == "new"

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -433,40 +434,47 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
     assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
-def columns(*stops):
-    return [solver._Column(np.zeros(1), 0.0, stop=stop) for stop in stops]
+STOPS = {None: solver.RUNNING, "polish": solver.POLISH, "captured": solver.CAPTURED,
+         "diverged": solver.DIVERGED}
+
+
+def descents(*stops):
+    """A lockstep state of one row per stop, None for a running row."""
+    run = solver._Descents(np.zeros((len(stops), 1)), np.zeros(len(stops)))
+    run.stop[:] = [STOPS[stop] for stop in stops]
+    return run
 
 
 def test_horizon_takes_rate_1_before_a_random_start_resolves():
     # W = 1 stops at N = 8: eight starts, counting the launched ones
-    assert solver._horizon([], 0, [], 65) == 8
-    assert solver._horizon([], 0, columns(None, None, None), 65) == 8
-    assert solver._horizon([True], 1, [], 65) == 8
-    assert solver._horizon([True], 1, columns(None, None, None), 65) == 8
+    assert solver._horizon([], 0, descents(), 65) == 8
+    assert solver._horizon([], 0, descents(None, None, None), 65) == 8
+    assert solver._horizon([True], 1, descents(), 65) == 8
+    assert solver._horizon([True], 1, descents(None, None, None), 65) == 8
     # the origin diverged: still rate 1, and one more start must count
-    assert solver._horizon([False], 0, [], 65) == 9
+    assert solver._horizon([False], 0, descents(), 65) == 9
     # with no point found the rule cannot stop before a start that counts
-    assert solver._horizon([True] * 9, 0, [], 65) == 10
+    assert solver._horizon([True] * 9, 0, descents(), 65) == 10
 
 
 @pytest.mark.parametrize("origin", [True, False])
 def test_horizon_leaves_the_origin_start_out_of_the_rate(origin):
     # resolved random starts 1-4 count at rate 1/2: each of the 6 - origin
     # more starts that W = 1 needs takes 2 starts
-    assert solver._horizon([origin, True, False, True, False], 1, [], 65) == (
+    assert solver._horizon([origin, True, False, True, False], 1, descents(), 65) == (
         5 + 2 * (6 - origin))
-    # launched and unresolved, the origin column is left out as well: a
+    # launched and unresolved, the origin row is left out as well: a
     # captured and a diverged random start give rate 1/2 whatever it holds
     for stop, want in ((None, 4 + 2 * 7 - 2), ("diverged", 4 + 2 * 7 - 1)):
-        assert solver._horizon([], 0, columns(stop, "captured", "diverged", None), 65) == want
+        assert solver._horizon([], 0, descents(stop, "captured", "diverged", None), 65) == want
 
 
 def test_horizon_launches_to_the_cap_once_every_random_start_diverged():
-    assert solver._horizon([True, False, False], 1, columns(None, "diverged"), 65) == 65
-    assert solver._horizon([True], 1, columns("diverged", None), 40) == 40
-    assert solver._horizon([], 0, columns(None, "diverged"), 65) == 65
+    assert solver._horizon([True, False, False], 1, descents(None, "diverged"), 65) == 65
+    assert solver._horizon([True], 1, descents("diverged", None), 40) == 40
+    assert solver._horizon([], 0, descents(None, "diverged"), 65) == 65
     # one random start that counts brings the rate back
-    assert solver._horizon([True, False, True], 1, [], 65) < 65
+    assert solver._horizon([True, False, True], 1, descents(), 65) < 65
 
 
 @pytest.mark.parametrize("news", [(0,), (0, 3), (2, 9, 20)])
@@ -475,7 +483,7 @@ def test_horizon_launches_nothing_past_the_stop_without_divergence(news):
     # reaches exactly the start at which the rule stops
     counts, w, launched = [], 0, 0
     while True:
-        running = columns(*[None] * (launched - len(counts)))
+        running = descents(*[None] * (launched - len(counts)))
         launched = solver._horizon(counts, w, running, 65)
         w += len(counts) in news
         counts.append(True)
@@ -499,21 +507,21 @@ class Quartic:
         return np.stack([z[0], z[1] - z[1] ** 3, -100.0 * z[2]])
 
 
-def plain_backtracking(prob, col, bound):
-    """The reference line search: one trial per action call, halving t
-    from min(2 t_warm, 1e6) until Armijo holds or t <= 1e-17.  Returns
-    (z, action, t_warm, iters, stop, halvings)."""
-    grad = prob.mu_dofs * prob.residual_vec(0.0, col.z)
+def plain_backtracking(prob, z, action, t_warm, bound):
+    """The reference line search of a descent not yet stepped: one trial
+    per action call, halving t from min(2 t_warm, 1e6) until Armijo holds
+    or t <= 1e-17.  Returns (z, action, t_warm, iters, stop, halvings)."""
+    grad = prob.mu_dofs * prob.residual_vec(0.0, z)
     gg = float(np.dot(grad, grad))
-    t, halvings = min(2.0 * col.t_warm, 1e6), 0
+    t, halvings = min(2.0 * t_warm, 1e6), 0
     while t > 1e-17:
-        cand = col.z - t * grad
+        cand = z - t * grad
         trial = float(prob.action_vec(0.0, cand))
-        if np.isfinite(trial) and trial <= col.action - solver.ARMIJO_C * t * gg:
+        if np.isfinite(trial) and trial <= action - solver.ARMIJO_C * t * gg:
             diverged = trial < solver.DIVERGE_ACTION or np.max(np.abs(cand)) > bound
-            return cand, trial, t, col.iters + 1, "diverged" if diverged else None, halvings
+            return cand, trial, t, 1, solver.DIVERGED if diverged else solver.RUNNING, halvings
         t, halvings = 0.5 * t, halvings + 1
-    return col.z, col.action, col.t_warm, col.iters, "polish", halvings
+    return z, action, t_warm, 0, solver.POLISH, halvings
 
 
 def test_backtracking_ladder_equals_one_trial_per_call():
@@ -525,15 +533,53 @@ def test_backtracking_ladder_equals_one_trial_per_call():
     specs = [((1.0, 0.0, 0.0), 0.25), ((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 2.0),
              ((1.0, 0.0, 0.0), 4.0), ((1.0, 0.0, 0.0), 1024.0), ((1.0, 0.0, 0.0), 5e5),
              ((0.0, 0.0, 1.0), 1.0), ((0.0, 3.0, 0.0), 1.0), ((0.5, 0.0, 0.0), 8.0)]
-    cols = [solver._Column(np.array(z), float(prob.action_vec(0.0, np.array(z))),
-                           t_warm=t_warm) for z, t_warm in specs]
-    want = [plain_backtracking(prob, c, bound) for c in cols]
+    zs = [np.array(z) for z, _ in specs]
+    actions = [float(prob.action_vec(0.0, z)) for z in zs]
+    run = solver._Descents(np.array(zs), np.array(actions))
+    run.t_warm[:] = [t_warm for _, t_warm in specs]
+    want = [plain_backtracking(prob, z, action, t_warm, bound)
+            for z, action, (_, t_warm) in zip(zs, actions, specs)]
     assert [h for *_, h in want] == [0, 1, 2, 3, 11, 19, 58, 0, 4]
-    assert [stop for *_, stop, _ in want] == [None] * 6 + ["polish", "diverged", None]
-    solver._descent_step(prob, 0.0, cols, [], bound, 100)
-    for c, (z, action, t_warm, iters, stop, _) in zip(cols, want):
-        assert (c.z.tobytes(), c.action, c.t_warm, c.iters, c.stop) == (
-            z.tobytes(), action, t_warm, iters, stop)
+    assert [stop for *_, stop, _ in want] == [solver.RUNNING] * 6 + [
+        solver.POLISH, solver.DIVERGED, solver.RUNNING]
+    solver._descent_step(prob, 0.0, run, [], bound, 100)
+    for row, (z, action, t_warm, iters, stop, _) in enumerate(want):
+        assert (run.z[row].tobytes(), run.action[row], run.t_warm[row], run.iters[row],
+                run.stop[row]) == (z.tobytes(), action, t_warm, iters, stop)
+
+
+def test_rows_step_as_if_alone(prep61):
+    # a 3-row state steps 8 times, loses row 0 (start 0, stopped POLISH at
+    # step 6) and gains starts 3 and 4 mid-run, then steps 26 more: each
+    # row, and the row taken off, holds the bits of its start stepped alone
+    # as a one-row state; starts 1 and 4 diverge at their 12th and 25th step
+    prob, lam = prep61.problem, 0.3
+    cfg = gv.SolverConfig(seed=42)
+    starts = [solver._start_vector(prob, cfg, i, 1.0 + max(prep61.deltas)) for i in range(5)]
+    bound, budget = solver._start_bound(prob), solver.DESCENT_BUDGET
+
+    def stepped(run, steps):
+        for _ in range(steps):
+            solver._descent_step(prob, lam, run, [], bound, budget)
+        return run
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = stepped(solver._launch(prob, lam, starts[:3]), 8)
+        z, action, iters, stop = run.pop_first()
+        run.append(solver._launch(prob, lam, starts[3:]))
+        stepped(run, 26)
+        alone = [stepped(solver._launch(prob, lam, [z0]), steps)
+                 for z0, steps in zip(starts, (8, 34, 34, 26, 26))]
+    assert (z.tobytes(), action, iters, stop) == (
+        alone[0].z[0].tobytes(), alone[0].action[0], alone[0].iters[0], alone[0].stop[0])
+    assert len(run) == 4
+    for row, one in enumerate(alone[1:]):
+        for name in ("z", "action", "t_warm", "iters", "stop"):
+            assert getattr(run, name)[row].tobytes() == getattr(one, name)[0].tobytes(), (
+                row, name)
+    assert stop == solver.POLISH
+    assert list(run.stop) == [solver.DIVERGED, solver.RUNNING, solver.RUNNING,
+                              solver.DIVERGED]
 
 
 @pytest.mark.parametrize("w, stop", [(0, None), (1, 8), (2, 17), (3, 30)])
@@ -544,6 +590,19 @@ def test_stopping_rule_first_stops_at(w, stop):
     assert stops == ([] if stop is None else list(range(stop, 200)))
     if stop is not None:
         assert solver._stop_estimate(stop, w) == w * (stop - 1) / (stop - w - 2)
+
+
+def test_horizon_stops_where_the_rule_first_stops():
+    # with every start counting and none launched, the horizon is the
+    # closed-form N = 2 W^2 + 3 W + 3; the rule does not stop before it
+    # (all N for W <= 40; the estimate falls as N grows) and stops at it
+    # and at every N checked after it, up to 10^6 N
+    for w in range(1, 501):
+        first = solver._horizon([], w, descents(), 10 ** 12)
+        below = range(first) if w <= 40 else (w + 3, first // 2, first - 2, first - 1)
+        assert all(solver._stop_estimate(n, w) is None for n in below), w
+        after = [first + k for k in range(50)] + [first * 10 ** k for k in range(1, 7)]
+        assert all(solver._stop_estimate(n, w) is not None for n in after), w
 
 
 def test_diverged_starts_do_not_count_toward_the_stop(prep61):
@@ -643,6 +702,26 @@ def test_solver_parameter_validation(p2, cfg):
         with pytest.raises(BadParam):
             gv.SolverConfig(seed=seed)
     assert gv.SolverConfig(seed=2 ** 128 - 1).seed == 2 ** 128 - 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", np.nan), ("seed", 10 ** 400),
+    ("starts", True), ("starts", 2.5), ("starts", "8"), ("max_iters", 10.5),
+    ("max_iters", np.inf), ("grad_tol", "1e-8"), ("grad_tol", True), ("distinct_tol", None),
+])
+def test_solver_config_rejects_what_is_not_a_number_of_its_kind(name, value):
+    with pytest.raises(BadParam, match=name):
+        gv.SolverConfig(**{name: value})
+
+
+def test_solver_config_stores_plain_numbers():
+    cfg = gv.SolverConfig(starts=np.int64(8), max_iters=100.0, seed=np.uint64(3),
+                          grad_tol=np.float32(0.5), distinct_tol=Fraction(1, 4))
+    assert [(type(v), v) for v in (cfg.starts, cfg.max_iters, cfg.seed)] == [
+        (int, 8), (int, 100), (int, 3)]
+    assert [(type(v), v) for v in (cfg.grad_tol, cfg.distinct_tol)] == [
+        (float, 0.5), (float, 0.25)]
+    assert gv.SolverConfig(seed=1.0).seed == 1
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, -5.0, 0.0])

@@ -6,17 +6,19 @@ Run from anywhere; it imports graphvar from the `src` beside this file:
     python3 tools/byte_gate.py > gate.txt
     OPENBLAS_NUM_THREADS=1 python3 tools/byte_gate.py > gate-1thread.txt
 
-Each output is one line: its sha256, and for a solve its outcome labels.
+Each output is one line: its sha256, and for a solve its outcome labels and
+iteration counts.
 Run it in two checkouts with the same BLAS setting and `diff` the files;
 any line that differs names the output that changed.  It covers:
 
 - the 44 acceptance solves: example-6.1 at lambda = 0.15, 0.3, 0.5 and
   example-6.2 at lambda = 1.0, at seeds 0-9 and 42, default SolverConfig;
   the sha256 is of `solution_set_to_json`, the labels are every start's and
-  deflation attempt's outcome in order;
+  deflation attempt's outcome in order, then the iterations of each, in the
+  same order (`start_iters=`, `deflation_iters=`);
 - both seed-42 16-step sweeps (lambda 0.05 to 0.8): the CSV's sha256, and
   per lambda the manifest `stats` entry without its per-outcome start
-  counts, which the labels on the same line give;
+  counts, which the labels on the same line give, and the iterations;
 - both `interval --reproduce` reports.
 
 Dense LAPACK results depend on the OpenBLAS thread count, so compare only
@@ -50,10 +52,13 @@ def _sha(data: bytes) -> str:
 
 
 def _labels(sset) -> str:
-    phases = {"start": [], "deflation": []}
-    for phase, _, outcome, _ in sset.outcomes:
-        phases[phase].append(outcome)
-    return " ".join(f"{phase}={','.join(labels)}" for phase, labels in phases.items())
+    labels = {"start": [], "deflation": []}
+    iters = {"start_iters": [], "deflation_iters": []}
+    for phase, _, outcome, n in sset.outcomes:
+        labels[phase].append(outcome)
+        iters[phase + "_iters"].append(str(n))
+    return " ".join(f"{key}={','.join(items)}"
+                    for key, items in (labels | iters).items())
 
 
 def _run_cli(argv: list[str]) -> None:

@@ -8,7 +8,9 @@ solve and sweep step has as many start and deflation labels in both files,
 and the labels differ only between "captured" and "duplicate" (a start that
 repeated a known point, captured by its descent or ended by its polish).
 Otherwise it prints each line that breaks this and exits 1.  It counts the
-label changes either way.
+label changes either way, and the iteration counts (`start_iters=`,
+`deflation_iters=`) that differ: those alone do not fail, since such a
+relabel moves them too.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def main(argv: list[str]) -> int:
     bad = [] if len(lines_a) == len(lines_b) else [
         f"line count {len(lines_a)} != {len(lines_b)}"]
     moved = Counter()
+    iters_moved = 0
     for a, b in zip(lines_a, lines_b):
         (head_a, labels_a), (head_b, labels_b) = _split(a), _split(b)
         name = head_a[:100]
@@ -51,6 +54,9 @@ def main(argv: list[str]) -> int:
             if len(got_a) != len(got_b):
                 bad.append(f"{phase} label count {len(got_a)} != {len(got_b)}: {name}")
                 continue
+            if phase.endswith("_iters"):
+                iters_moved += sum(x != y for x, y in zip(got_a, got_b))
+                continue
             for x, y in zip(got_a, got_b):
                 if x != y:
                     moved[x, y] += 1
@@ -60,6 +66,7 @@ def main(argv: list[str]) -> int:
         print(line)
     for (x, y), k in sorted(moved.items()):
         print(f"labels {x} -> {y}: {k}")
+    print(f"iteration counts that differ: {iters_moved}")
     print("gate: " + ("FAIL" if bad else "pass"))
     return 1 if bad else 0
 
