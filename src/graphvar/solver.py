@@ -343,12 +343,12 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
     """
     stop = run.stop
     stop[(stop == RUNNING) & (run.iters >= budget)] = POLISH
-    idx = np.flatnonzero(stop == RUNNING)  # the rows this step moves
+    idx = (stop == RUNNING).nonzero()[0]  # the rows this step moves
     if not idx.size:
         return
     z, act = run.z[idx], run.action[idx]
     near = [(rows, zk, radius) for zk, radius, ball_act in balls
-            if (rows := np.flatnonzero(act > ball_act)).size]
+            if (rows := (act > ball_act).nonzero()[0]).size]
     if near:
         diffs = np.concatenate([z[rows] - zk for rows, zk, _ in near])
         dists = prob.wnorm_vec(np.ascontiguousarray(diffs.T))
@@ -360,9 +360,10 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
             return
     res = np.ascontiguousarray(prob.residual_vec(lam, np.ascontiguousarray(z.T)).T)
     small = np.abs(res).max(axis=1) < NEWTON_SWITCH  # false for inf and NaN
-    stop[idx[small]] = POLISH
-    keep = ~small
-    idx, z, act, res = idx[keep], z[keep], act[keep], res[keep]
+    if small.any():
+        stop[idx[small]] = POLISH
+        keep = ~small
+        idx, z, act, res = idx[keep], z[keep], act[keep], res[keep]
     grad = prob.mu_dofs * res
     gg = np.vecdot(grad, grad)
     dg, dz = grad - run.prev_grad[idx], z - run.prev_z[idx]
@@ -381,13 +382,13 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
             break
         # rung j of row idx[i[m]] sits at m * width + j of one flat batch
         ti = (t[i, None] * 0.5 ** np.arange(width)).ravel()
-        rows = np.repeat(i, width)
+        rows = i.repeat(width)
         cand = z[rows] - ti[:, None] * grad[rows]
         trial = prob.action_vec(lam, np.ascontiguousarray(cand.T))
         ok = (np.isfinite(trial) & (trial <= act[rows] - ARMIJO_C * ti * gg[rows])
               & (ti > 1e-17)).reshape(-1, width)
         hit = ok.any(axis=1)
-        first = np.flatnonzero(hit) * width + ok.argmax(axis=1)[hit]  # the first rung that passes
+        first = hit.nonzero()[0] * width + ok.argmax(axis=1)[hit]  # the first rung that passes
         took, znew, anew = rows[first], cand[first], trial[first]
         dest = idx[took]
         run.prev_z[dest], run.prev_grad[dest] = z[took], grad[took]

@@ -434,8 +434,7 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
     assert stopped == 1  # the stopping rule cut the example-6.2 solve at 20 starts
 
 
-STOPS = {None: solver.RUNNING, "polish": solver.POLISH, "captured": solver.CAPTURED,
-         "diverged": solver.DIVERGED}
+STOPS = {None: solver.RUNNING, "captured": solver.CAPTURED, "diverged": solver.DIVERGED}
 
 
 def descents(*stops):
