@@ -41,7 +41,7 @@ import numpy as np
 
 from .calculus import _along, m_grad_norm_arr, poly_lap_apply_arr, signed_power
 from .errors import BadParam
-from .graph import VertexFunction, WeightedGraph, check_domain
+from .graph import VertexFunction, WeightedGraph, check_domain, finite_real
 from .nonlinearity import NonlinearityModel
 from .sobolev import SobolevSpec
 
@@ -257,9 +257,9 @@ def ScalarProblem(*, graph: WeightedGraph, m: int, p: float, h: VertexFunction,
 # ---------------------------------------------------------------------------
 
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 <= lam < np.inf:
-        raise BadParam(f"the parameter must be nonnegative and finite, got {lam}")
+    lam = finite_real(lam, "the parameter")
+    if not lam >= 0.0:
+        raise BadParam(f"the parameter must be nonnegative, got {lam}")
     return lam
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from numbers import Integral, Real
 from typing import Iterable, Mapping
 
@@ -326,6 +327,16 @@ def positive_integer(value, what: str, least: int = 1) -> int:
             and value >= least):
         raise BadParam(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def finite_real(value, what: str) -> float:
+    """A finite real number (a NumPy scalar too, not a bool) as a float: a
+    solver tolerance, the parameter or a start radius."""
+    with suppress(OverflowError):  # an int or a Fraction past the float range
+        if (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(number := float(value))):
+            return number
+    raise BadParam(f"{what} must be a finite real number, got {value!r}")
 
 
 def lattice_ball(radius: int) -> WeightedGraph:

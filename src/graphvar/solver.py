@@ -33,20 +33,19 @@ duplicate (single-start `minimize` has no such exits):
   acceptance solves at seeds 0-9 and 42 (2,860 starts), no start that
   converged went past 13.3 times that scale (|z|inf = 219 on example 6.1), so
   the bound of 100 leaves a margin of 7.5.
-- "captured" within CAPTURE_REL * ||z_k||_W of a nontrivial accepted point
-  z_k while the action is still above J(z_k); Armijo descent only lowers
-  the action, so an iterate below J(z_k) cannot be descending to z_k.  In
-  the same starts the closest approach of a start that went on to a new
-  point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2), and the closest
-  two distinct critical points of those solves lie 2.9% of either one's
-  norm apart (a margin of 2.9).
-- "duplicate" when a polish iterate, tested before each Newton iteration,
-  lies in such a ball; Newton does not lower the action, so there is no
-  action condition.  Over the 865 polishes of those solves and of both
-  16-step sweeps at seed 42, the closest any iterate came to an accepted
-  point the polish did not end at was 0.996 ||z_k||_W (a margin of 99.6),
-  and each of the 715 that ended as duplicates entered the ball within
-  six iterations, so the exit skips 3,835 of their 6,488 iterations.
+- "duplicate" inside the capture ball of a nontrivial accepted point z_k,
+  of radius CAPTURE_REL * ||z_k||_W: a descent iterate while its action is
+  still above J(z_k) (Armijo descent only lowers the action, so an iterate
+  below J(z_k) cannot be descending to z_k), and a polish iterate, tested
+  before each Newton iteration, whatever its action (Newton does not lower
+  it).  In the same starts the closest approach of a start that went on to
+  a new point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2), and the
+  closest two distinct critical points lie 2.9% of either one's norm apart
+  (a margin of 2.9).  Over the 865 polishes of those solves and of both
+  16-step sweeps at seed 42, no iterate came within 0.996 ||z_k||_W of an
+  accepted point the polish did not end at (a margin of 99.6), and each of
+  the 715 that ended in a ball entered it within six iterations, so the
+  exit skips 3,835 of their 6,488 iterations.
 
 A deflation attempt ends "stalled" after SLOW_LIMIT = 8 iterations in a
 row that do not halve the sup residual (one without a step does not).  Of
@@ -62,32 +61,30 @@ OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
 The multistart stops once its remaining starts can only repeat, by the
 Bayesian rule of Boender & Rinnooy Kan (1987): after N starts that did not
 diverge have found W points, W >= 1, it stops when N > W + 2 and the
-posterior estimate W (N - 1) / (N - W - 2) of the number of points is
-below W + 0.5 (from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2);
+posterior estimate W (N - 1) / (N - W - 2) of the number of points is below
+W + 0.5 (from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2);
 ``SolverConfig.starts`` is the last start index it may reach, and no start
 is launched past the rule's horizon (see _horizon): where it would stop if
 every later start repeated a known point, each start counting toward N at
-the rate of the random starts resolved so far (the origin start left
-out).  Diverged
-starts are left out of N: counted, the rule would stop before the second
-point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The rule
-stops 13 of them: all 11 on example 6.2 after 17 starts, whose last new
-point came at start 4 at the latest (12 or more starts that did not
+the rate of the random starts resolved so far (the origin start left out).
+Diverged starts are left out of N: counted, the rule would stop before the
+second point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The
+rule stops 13 of them: all 11 on example 6.2 after 17 starts, whose last
+new point came at start 4 at the latest (12 or more starts that did not
 diverge repeated before the stop), and 2 on example 6.1, at 53 and 64
-starts, after new points at starts 4 and 10 (14 and 13 repeats).  The
-other 31 run to start 64, with their last new point at start 30 at the
-latest.  No solve loses a point, and the starts skipped held 36,944 of
-their 121,147 descent iterations.
+starts, after new points at starts 4 and 10 (14 and 13 repeats).  The other
+31 run to start 64, with their last new point at start 30 at the latest.
+No solve loses a point, and the starts skipped held 36,944 of their 121,147
+descent iterations.
 
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k).  The starts descend in lockstep, each a row
 of one array state (_Descents) whose running rows are the columns of
 batched evaluations; those equal the one-column ones bit for bit, each row
 is updated by row assignment alone, and the starts resolve in index order.
-`minimize` runs the same state with one row.  The solutions and stopping
-decisions are those of running the starts one after another and stopping
-by the same rule; only a start that loop labels "captured" may end
-differently (see _multistart).
+`minimize` runs the same state with one row.  The solutions, outcome
+labels and stopping decisions are those of running the starts one after
+another by the same rule; only iteration counts may differ (_multistart).
 
 Exponents below 2 are rejected (the zero-order term |s|^(p-2) s is not
 Lipschitz there); interval computations alone support the full range.
@@ -106,7 +103,7 @@ import numpy as np
 
 from .errors import BadParam, ConvergedToKnown, SingularExponent
 from .functionals import Problem, State, StatePair
-from .graph import VertexFunction, positive_integer
+from .graph import VertexFunction, finite_real, positive_integer
 from .nonlinearity import derivative_consistency
 
 NEWTON_SWITCH = 1e-3
@@ -120,10 +117,10 @@ DIVERGE_SCALE = 100.0
 CAPTURE_REL = 1e-2
 SLOW_LIMIT = 8
 
-# How a multistart descent or a deflation attempt ended; a "duplicate" is
-# either converged within distinct_tol of an accepted point or a polish cut
-# inside a capture ball, unconverged.
-OUTCOMES = ("new", "duplicate", "captured", "diverged", "stalled", "budget")
+# How a multistart descent or a deflation attempt ended; a "duplicate"
+# converged within distinct_tol of an accepted point, or its descent or
+# polish stopped inside a capture ball, unconverged.
+OUTCOMES = ("new", "duplicate", "diverged", "stalled", "budget")
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,10 @@ class SolverConfig:
         for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
             object.__setattr__(self, name, positive_integer(getattr(self, name), name, least))
         for name in ("grad_tol", "distinct_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and not isinstance(value, bool)
-                    and 0.0 < value < np.inf):
-                raise BadParam(f"{name} must be a positive finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = finite_real(getattr(self, name), name)
+            if not value > 0.0:
+                raise BadParam(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -158,7 +154,7 @@ class CriticalPoint:
     converged: bool
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity; solution_set_to_json compares values
 class SolutionSet:
     lam: float
     seed: int
@@ -190,9 +186,9 @@ def _check_problem(prob: Problem) -> None:
 
 
 def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 < lam < np.inf:
-        raise BadParam(f"the parameter must be positive and finite, got {lam}")
+    lam = finite_real(lam, "the parameter")
+    if not lam > 0.0:
+        raise BadParam(f"the parameter must be positive, got {lam}")
     return lam
 
 
@@ -237,10 +233,7 @@ class _RawPoint:
     residual_sup: float
     iterations: int
     converged: bool
-    # one of OUTCOMES; find_three relabels a converged point that lies within
-    # distinct_tol of an accepted one from "new" to "duplicate", and a polish
-    # cut inside a capture ball ends "duplicate" unconverged
-    outcome: str
+    outcome: str  # one of OUTCOMES
 
 
 def _finalize(prob: Problem, lam: float, raw: _RawPoint) -> CriticalPoint:
@@ -272,7 +265,7 @@ _Ball = tuple[np.ndarray, float, float]
 
 
 # How a descent stands between lockstep steps: running, or how it stopped,
-# "polish" (hand over to Newton), "captured" or "diverged".
+# POLISH (hand over to Newton), CAPTURED (in a capture ball) or DIVERGED.
 RUNNING, POLISH, CAPTURED, DIVERGED = range(4)
 
 
@@ -410,7 +403,7 @@ def _finish(prob: Problem, lam: float, run: _Descents, cfg: SolverConfig,
     if stop == DIVERGED:
         return _diverged(z, action, np.inf, iters)
     return _RawPoint(z=z, action=action, residual_sup=np.inf, iterations=iters,
-                     converged=False, outcome="captured")
+                     converged=False, outcome="duplicate")
 
 
 def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
@@ -419,13 +412,8 @@ def _minimize_z(prob: Problem, lam: float, z0: np.ndarray, cfg: SolverConfig,
 
     `minimize` passes no `accepted`; the tests pass the points accepted so
     far, to run the starts one after another as the serial reference whose
-    solutions and stopping decisions `_multistart` keeps (only a start this
-    labels "captured" may end differently there).  `accepted` turns on the
-    early exits of the module docstring:
-    "diverged" past |z|inf = DIVERGE_SCALE * (1 + start_scale), "captured"
-    inside the ball of relative radius CAPTURE_REL around a nontrivial
-    accepted point while the action is still above that point's, and a
-    polish ended "duplicate" inside such a ball.
+    outcomes, iteration counts aside, `_multistart` keeps.  `accepted` turns
+    on the early exits ("diverged", "duplicate") of the module docstring.
     """
     bound, balls = DIVERGE_NORM, []
     if accepted is not None:
@@ -678,11 +666,10 @@ def _multistart(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
     the first iterate.  The capture test stops a trajectory but never
     changes one, so a start differs from that loop only where the loop
     captures it at an iterate the lockstep descent had already passed: it
-    is captured later, with more iterations, or its polish ends
-    "duplicate".  Both count alike in the rule, so the solutions and
-    stopping decisions are the serial loop's.  (A descent that passed
-    through a ball could in principle go on to diverge or to another
-    point; none did in the 44 acceptance solves or the two seed-42 16-step
+    stops in the ball later, by its descent or its polish, and ends
+    "duplicate" all the same, with more iterations.  (A descent that passed
+    through a ball could in principle go on to diverge or to another point;
+    none did in the 44 acceptance solves or the two seed-42 16-step
     sweeps.)  The launched starts are a window that reaches up to the
     `_horizon`, re-estimated at every step, and no further: at the rate
     the random starts resolved so far count toward N (rate 1 before one
@@ -735,7 +722,8 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     """
     lam = _check_lam(lam)
     _check_problem(prob)
-    radius = float(start_radius) if start_radius is not None else 1.0 + prob.start_scale
+    radius = (1.0 + prob.start_scale if start_radius is None
+              else finite_real(start_radius, "the start radius"))
     if not 0.0 < radius < np.inf:
         raise BadParam(f"the start radius must be positive and finite, got {radius}")
 
