@@ -35,17 +35,16 @@ duplicate (single-start `minimize` has no such exits):
   the bound of 100 leaves a margin of 7.5.
 - "duplicate" inside the capture ball of a nontrivial accepted point z_k,
   of radius CAPTURE_REL * ||z_k||_W: a descent iterate while its action is
-  still above J(z_k) (Armijo descent only lowers the action, so an iterate
-  below J(z_k) cannot be descending to z_k), and a polish iterate, tested
-  before each Newton iteration, whatever its action (Newton does not lower
-  it).  In the same starts the closest approach of a start that went on to
-  a new point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2), and the
-  closest two distinct critical points lie 2.9% of either one's norm apart
-  (a margin of 2.9).  Over the 865 polishes of those solves and of both
-  16-step sweeps at seed 42, no iterate came within 0.996 ||z_k||_W of an
-  accepted point the polish did not end at (a margin of 99.6), and each of
-  the 715 that ended in a ball entered it within six iterations, so the
-  exit skips 3,835 of their 6,488 iterations.
+  above J(z_k), which Armijo descent only lowers, and a polish iterate,
+  tested before each Newton iteration, whatever its action, which Newton
+  does not lower.  In the same starts the closest approach of a start that
+  went on to a new point was 30.7 ||z_k||_W (a margin of 3,070 over 1e-2),
+  and the closest two distinct critical points lie 2.9% of either one's
+  norm apart (a margin of 2.9).  Over the 865 polishes of those solves and
+  of both 16-step sweeps at seed 42, no iterate came within 0.996 ||z_k||_W
+  of an accepted point the polish did not end at (a margin of 99.6), and
+  each of the 715 that ended in a ball entered it within six iterations,
+  so the exit skips 3,835 of their 6,488 iterations.
 
 A deflation attempt ends "stalled" after SLOW_LIMIT = 8 iterations in a
 row that do not halve the sup residual (one without a step does not).  Of
@@ -61,21 +60,22 @@ OUTCOMES) in ``SolutionSet.outcomes``; the CLI counts them in the manifest.
 The multistart stops once its remaining starts can only repeat, by the
 Bayesian rule of Boender & Rinnooy Kan (1987): after N starts that did not
 diverge have found W points, W >= 1, it stops when N > W + 2 and the
-posterior estimate W (N - 1) / (N - W - 2) of the number of points is below
-W + 0.5 (from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2);
+posterior estimate W (N - 1) / (N - W - 2) of the number of points is
+below W + 0.5 (from N = 2 W^2 + 3 W + 3 on: 8 for W = 1, 17 for W = 2);
 ``SolverConfig.starts`` is the last start index it may reach, and no start
 is launched past the rule's horizon (see _horizon): where it would stop if
 every later start repeated a known point, each start counting toward N at
-the rate of the random starts resolved so far (the origin start left out).
-Diverged starts are left out of N: counted, the rule would stop before the
-second point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The
-rule stops 13 of them: all 11 on example 6.2 after 17 starts, whose last
-new point came at start 4 at the latest (12 or more starts that did not
+the rate of the random starts resolved so far (the origin start left
+out).  Diverged
+starts are left out of N: counted, the rule would stop before the second
+point in 18 of the 44 acceptance solves at seeds 0-9 and 42.  The rule
+stops 13 of them: all 11 on example 6.2 after 17 starts, whose last new
+point came at start 4 at the latest (12 or more starts that did not
 diverge repeated before the stop), and 2 on example 6.1, at 53 and 64
-starts, after new points at starts 4 and 10 (14 and 13 repeats).  The other
-31 run to start 64, with their last new point at start 30 at the latest.
-No solve loses a point, and the starts skipped held 36,944 of their 121,147
-descent iterations.
+starts, after new points at starts 4 and 10 (14 and 13 repeats).  The
+other 31 run to start 64, with their last new point at start 30 at the
+latest.  No solve loses a point, and the starts skipped held 36,944 of
+their 121,147 descent iterations.
 
 Reproducibility: start k draws its coordinates from a counter-based
 generator keyed by (seed, k).  The starts descend in lockstep, each a row

@@ -706,6 +706,7 @@ def test_solver_parameter_validation(p2, cfg):
     ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", np.nan), ("seed", 10 ** 400),
     ("starts", True), ("starts", 2.5), ("starts", "8"), ("max_iters", 10.5),
     ("max_iters", np.inf), ("grad_tol", "1e-8"), ("grad_tol", True), ("distinct_tol", None),
+    ("grad_tol", 10 ** 400),
 ])
 def test_solver_config_rejects_what_is_not_a_number_of_its_kind(name, value):
     with pytest.raises(BadParam, match=name):
