@@ -665,6 +665,31 @@ def test_find_three_matches_pin(key, lam, seed, starts):
         range(starts + 1))
 
 
+def discrete_problem(prep):
+    """Example 6.1's system and model on a 5-vertex graph, a cycle with one
+    chord, whose six edge weights are distinct draws: no two vertices look
+    alike, so its coarsest equitable partition is discrete."""
+    rng = np.random.default_rng(2027)
+    ids = [f"v{i}" for i in range(5)]
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]
+    g = gv.WeightedGraph(ids, {v: 1.0 for v in ids},
+                         [(ids[a], ids[b], float(w))
+                          for (a, b), w in zip(pairs, rng.uniform(0.5, 2.5, len(pairs)))])
+    h = gv.VertexFunction.constant(g, 9.0)
+    return gv.ProblemSpec(graph=g, m1=2, m2=2, p=2.0, q=3.0, h1=h, h2=h,
+                          nonlinearity=prep.problem.nonlinearity)
+
+
+def test_discrete_partition_solve_matches_pin(prep61):
+    # the pin was written before the solver learned to solve on a quotient;
+    # this solve reaches deflation and finds a minimizer, a saddle and the
+    # deep minimizer
+    prob = discrete_problem(prep61)
+    sset = gv.find_three(prob, 0.3, gv.SolverConfig(seed=42, starts=8),
+                         start_radius=1.0 + max(prep61.deltas))
+    assert solution_set_to_json(sset) == (PINS / "solve-discrete.json").read_text()
+
+
 @pytest.mark.parametrize("key", ["example-6.1", "example-6.2"])
 def test_solution_set_document_round_trips(key):
     # example-6.2 is a scalar solution set, example-6.1 a coupled one

@@ -1,8 +1,10 @@
 """tools/gate_diff.py passes two byte-gate outputs only when they differ in
 iteration counts alone; tools/byte_gate.py prints each start's and
-attempt's iterations."""
+attempt's iterations; tools/point_gate.py matches two dumps of point sets
+point by point."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from graphvar.problems import builtin_problem
+from graphvar.solver import solution_set_from_doc
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 GATE_DIFF = TOOLS / "gate_diff.py"
 SOLVE = "solve example-6.1 0.3 seed=0 {} start=new,{} deflation=stalled,{}\n"
 BASE = SOLVE.format("abc", "duplicate", "new") + "interval example-6.1 def\n"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def run_gate_diff(tmp_path, a, b):
@@ -57,12 +69,66 @@ def test_gate_diff_counts_iteration_changes_without_failing_on_them(
 
 
 def test_byte_gate_prints_labels_then_iterations():
-    spec = importlib.util.spec_from_file_location("byte_gate", TOOLS / "byte_gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = load_tool("byte_gate")
     sset = SimpleNamespace(outcomes=[("start", 0, "new", 12), ("start", 1, "duplicate", 30),
                                      ("deflation", 0, "stalled", 8)])
     assert gate._labels(sset) == (
         "start=new,duplicate deflation=stalled start_iters=12,30 deflation_iters=8")
     assert gate._labels(SimpleNamespace(outcomes=[])) == (
         "start= deflation= start_iters= deflation_iters=")
+
+
+def point_dump(*solves):
+    """A point_gate dump of example-6.1 solves, each a list of (offset,
+    kind): a point whose 18 values all equal the offset."""
+    return {"distinct_tol": 1e-4, "solves": [
+        {"name": f"accept example-6.1 0.3 seed={i}", "key": "example-6.1",
+         "points": [{"z": [offset] * 18, "action": -offset, "kind": kind, "residual": 1e-12}
+                    for offset, kind in points]}
+        for i, points in enumerate(solves)]}
+
+
+BASE_POINTS = [(1.0, "minimizer"), (2.0, "saddle")]
+
+
+@pytest.mark.parametrize("change, failing", [
+    ([(1.0 + 1e-9, "minimizer"), (2.0, "saddle")], []),  # last digits alone pass
+    ([(2.0, "saddle"), (1.0, "minimizer")], []),  # order does not matter
+    ([(1.0, "minimizer"), (2.0, "minimizer")], ["only in A", "only in B"]),
+    ([(1.0, "minimizer"), (2.5, "saddle")], ["only in A", "only in B"]),
+    ([(1.0, "minimizer")], ["2 -> 1 points", "only in A"]),
+    ([(1.0, "minimizer"), (2.0, "saddle"), (3.0, "saddle")], ["2 -> 3 points", "only in B"]),
+])
+def test_point_gate_matches_points_by_kind_within_distinct_tol(tmp_path, change, failing):
+    gate = load_tool("point_gate")
+    bad = gate.compare(point_dump(BASE_POINTS, BASE_POINTS), point_dump(BASE_POINTS, change))
+    assert [line.split(": ")[1] for line in bad] == failing
+    assert all(line.startswith("accept example-6.1 0.3 seed=1: ") for line in bad)
+    (tmp_path / "a.json").write_text(json.dumps(point_dump(BASE_POINTS)))
+    (tmp_path / "b.json").write_text(json.dumps(point_dump(change)))
+    run = subprocess.run([sys.executable, str(TOOLS / "point_gate.py"), "compare",
+                          str(tmp_path / "a.json"), str(tmp_path / "b.json")],
+                         capture_output=True, text=True)
+    assert run.returncode == (1 if failing else 0), run.stdout
+    assert run.stdout.endswith("gate: FAIL\n" if failing else "gate: pass\n")
+
+
+def test_point_gate_prints_an_unmatched_point_with_its_distance():
+    gate = load_tool("point_gate")
+    bad = gate.compare(point_dump(BASE_POINTS), point_dump([(1.0, "minimizer"), (2.5, "saddle")]))
+    # the W-distance of two constants on example 6.1 is their h-weighted norm
+    assert bad[0].startswith("accept example-6.1 0.3 seed=0: only in A: action=-2.0 "
+                             "kind=saddle residual=1.000e-12 W-distance to nearest=")
+    assert gate.compare(point_dump(BASE_POINTS), point_dump(BASE_POINTS, BASE_POINTS)) == [
+        "the dumps hold different solves"]
+
+
+def test_point_gate_dumps_a_solution_set_point_by_point():
+    gate = load_tool("point_gate")
+    prep = builtin_problem("example-6.1")
+    text = (Path(__file__).parent / "pins" / "solve-example-6.1.json").read_text()
+    sset = solution_set_from_doc(prep.problem, json.loads(text))
+    points = gate._points(prep.problem, sset)
+    assert [(p["kind"], p["action"]) for p in points] == [
+        (p.kind, p.action_value) for p in sset.points]
+    assert points[0]["z"] == prep.problem.pack_state(sset.points[0].state).tolist()
