@@ -216,8 +216,10 @@ def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
     rule stopped it ("rule") or null when it ran to --starts ("cap").  A
     note says that minimizer labels are local when a start diverged or when
     the model's growth exponents are not below the component exponents, so
-    the action need not be bounded below."""
-    stats = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
+    the action need not be bounded below.  `cells` is the number of cells
+    of the quotient the solver searched, the vertex count when the
+    problem's partition is discrete."""
+    stats: dict = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
     for phase, _, outcome, _ in sset.outcomes:
         stats[phase][outcome] += 1
     starts = stats["start"]
@@ -226,6 +228,7 @@ def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
     stats["multistart"] = {"starts": sum(starts.values()), "n": n, "w": w,
                            "stop": "cap" if estimate is None else "rule",
                            "estimate": estimate}
+    stats["cells"] = prob.quotient[0].graph.n_vertices
     reasons = []
     if stats["start"]["diverged"]:
         reasons.append(f"{stats['start']['diverged']} start(s) diverged, so the "

@@ -29,13 +29,26 @@ values, or an (n_dofs, k) array; column j equals, bit for bit, the call on
 column j alone.  The residual's reach, m hops per component, also fixes
 the solver's compressed Jacobians; a problem builds that pattern
 (`jacobian_pattern`) on first use and keeps it.
+
+A problem also builds, on first use, its quotient (`quotient`) by the
+coarsest equitable partition that colour refinement finds from the colours
+(mu, h_i, is the model's support).  Every vertex of a cell I has the same
+mu, h_i and total weight W_xJ into each cell J, so the operators map
+cell-constant states to cell-constant states, and the quotient graph, with
+mu'_I = sum over I of mu and w'_IJ = the sum of w_xy over x in I, y in J
+(edges inside a cell dropped: they pair equal values), gives at a state z
+the action of its lift and, at each cell, the lifted residual.  Its zeros
+lift to zeros of the problem: the principle of symmetric criticality
+(Palais 1979), which an equitable partition gives without a group.  Each
+cell is named by its least vertex id, so the support's singleton keeps its
+id and the sorted ids are in cell order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -94,9 +107,14 @@ class Problem:
     graph: WeightedGraph
     components: tuple[SobolevSpec, ...]
     nonlinearity: NonlinearityModel
-    # (entries of z, m, l, h values) per component, and mu once per component
+    # per vertex of a quotient, the number of vertices its cell holds; None
+    # (all ones) for a problem that is not a quotient
+    cell_sizes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # (entries of z, m, l, h values) per component, and mu and the cell
+    # sizes once per component
     _blocks: tuple = field(init=False, repr=False, compare=False)
     mu_dofs: np.ndarray = field(init=False, repr=False, compare=False)
+    size_dofs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -109,6 +127,8 @@ class Problem:
             (slice(i * n, (i + 1) * n), c.m, c.l, c.h.values)
             for i, c in enumerate(self.components)))
         object.__setattr__(self, "mu_dofs", np.concatenate([self.graph.mu] * k))
+        sizes = np.ones(n) if self.cell_sizes is None else self.cell_sizes
+        object.__setattr__(self, "size_dofs", np.concatenate([sizes] * k))
 
     # -- flat-vector view (solver interface) ----------------------------------
 
@@ -163,6 +183,33 @@ class Problem:
         mask.setflags(write=False)
         colour.setflags(write=False)
         return mask, colour
+
+    @cached_property
+    def quotient(self) -> tuple[Problem, np.ndarray]:
+        """(quotient problem, lift): the problem on the cells of `_cells`,
+        and the entry of its state that each entry of a lifted state takes,
+        z[lift].  Built on first use and kept, read-only; a cache, so not
+        part of == or hash.  A problem whose partition is discrete is its
+        own quotient."""
+        cell = _cells(self)
+        k, n = int(cell.max()) + 1, self.graph.n_vertices
+        if k == n:
+            quot = self
+        else:
+            g, first = self.graph, np.unique(cell, return_index=True)[1]
+            ids = [g.vertices[i] for i in first]
+            weight: dict[tuple[int, int], float] = {}
+            for (a, b), w in zip(cell[g.edge_index].tolist(), g.edge_weight.tolist()):
+                if a != b:
+                    weight[min(a, b), max(a, b)] = weight.get((min(a, b), max(a, b)), 0.0) + w
+            qg = WeightedGraph(ids, dict(zip(ids, np.bincount(cell, weights=g.mu))),
+                               [(ids[a], ids[b], w) for (a, b), w in weight.items()])
+            comps = [SobolevSpec(c.m, c.l, VertexFunction(qg, c.h.values[first]))
+                     for c in self.components]
+            quot = Problem(qg, comps, self.nonlinearity, np.bincount(cell).astype(float))
+        lift = np.concatenate([cell + i * k for i in range(len(self.components))])
+        lift.setflags(write=False)
+        return quot, lift
 
     def gradient_vec(self, lam: float, z: np.ndarray) -> np.ndarray:
         """Euclidean gradient of action_vec: the residual weighted by mu."""
@@ -220,6 +267,32 @@ def _sparsity(prob: Problem) -> np.ndarray:
         reach.append(r)
     k = len(reach)
     return np.block([[reach[c] if d == c else eye for d in range(k)] for c in range(k)])
+
+
+def _cells(prob: Problem) -> np.ndarray:
+    """The cell of each vertex in the partition colour refinement (1-WL)
+    reaches from the colours (mu, h_i, is the support): split cells by the
+    multiset of (cell, weight) over each vertex's edges until none splits.
+    Every vertex of a cell then has the same mu, h_i and W_xJ, summed from
+    the same weights.  Cells are numbered in the order of their least
+    vertex."""
+    g, support = prob.graph, prob.nonlinearity.support
+    hs = [c.h.values.tolist() for c in prob.components]
+    colour = [(mu, *(h[x] for h in hs), v == support)
+              for x, (v, mu) in enumerate(zip(g.vertices, g.mu.tolist()))]
+    near: list[list] = [[] for _ in g.vertices]
+    for (a, b), w in zip(g.edge_index.tolist(), g.edge_weight.tolist()):
+        near[a].append((b, w))
+        near[b].append((a, w))
+    cells = 0
+    while True:
+        names: dict = {}
+        cell = [names.setdefault(c, len(names)) for c in colour]
+        if len(names) == cells:
+            return np.array(cell)
+        cells = len(names)
+        colour = [(cell[x], tuple(sorted((cell[y], w) for y, w in near[x])))
+                  for x in range(len(cell))]
 
 
 def _colour_columns(mask: np.ndarray) -> np.ndarray:

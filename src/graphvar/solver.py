@@ -323,6 +323,11 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
     tries its next 2^r halvings at once and takes the first that passes.
     These are the trial points of halving one at a time, in the same order
     (t 0.5^k is exact for t > 1e-17), so each row takes the same step.
+    The step is that of the lifted state: on a quotient
+    (``Problem.quotient``) the direction is (mu' / s) r, the gradient of
+    the problem it came from at each of a cell's s vertices, and the
+    Armijo slope and the Barzilai-Borwein quotient are sums weighted by s.
+    On any other problem s is all ones, and each product by it is exact.
     A row stops POLISH (for Newton) at the budget, once its residual is
     below NEWTON_SWITCH or when its line search stalls (its next trial
     would be at t <= 1e-17; a rung there is never taken); it stops CAPTURED
@@ -357,12 +362,13 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
         stop[idx[small]] = POLISH
         keep = ~small
         idx, z, act, res = idx[keep], z[keep], act[keep], res[keep]
-    grad = prob.mu_dofs * res
-    gg = np.vecdot(grad, grad)
+    size = prob.size_dofs
+    grad = prob.mu_dofs / size * res
+    gg = np.vecdot(size * grad, grad)
     dg, dz = grad - run.prev_grad[idx], z - run.prev_z[idx]
-    dgg = np.vecdot(dg, dg)
+    dgg = np.vecdot(size * dg, dg)
     good = (run.iters[idx] > 0) & (dgg > 0.0)  # a step taken, so prev_z and prev_grad hold it
-    bb = np.divide(np.vecdot(dz, dg), dgg, out=np.zeros_like(dgg), where=good)
+    bb = np.divide(np.vecdot(size * dz, dg), dgg, out=np.zeros_like(dgg), where=good)
     good &= np.isfinite(bb) & (bb > 0.0)
     t = np.minimum(np.where(good, bb, 2.0 * run.t_warm[idx]), 1e6)
     i = np.arange(idx.size)  # the moving rows still searching, as positions in idx
@@ -717,6 +723,14 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     points are found (or the budget runs out; the set is returned either way
     and ``found_three`` reports the outcome).
 
+    When the problem's coarsest equitable partition has fewer cells than
+    vertices, the search runs on its quotient (``Problem.quotient``), and
+    each point it accepts is lifted and taken again on the problem itself:
+    its residual, action and kind, and its distinctness, are the problem's.
+    If fewer than three points come back, the search runs on the problem,
+    with the lifted points as known ones; its outcomes follow the
+    quotient's.
+
     The caller is responsible for choosing lam inside a valid admissible
     interval; outside it, fewer points are expected and documented.
     """
@@ -729,7 +743,29 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
 
     accepted: list[_RawPoint] = []
     outcomes: list[tuple[str, int, str, int]] = []
+    quotient, lift = prob.quotient
+    if quotient is not prob:
+        found: list[_RawPoint] = []
+        _search(quotient, lam, cfg, radius, found, outcomes)
+        for raw in found:
+            z = raw.z[lift]
+            rsup = _sup(prob.residual_vec(lam, z))
+            if rsup <= cfg.grad_tol and _distinct(prob, z, (a.z for a in accepted),
+                                                  cfg.distinct_tol):
+                accepted.append(_RawPoint(
+                    z=z, action=prob.action_vec(lam, z), residual_sup=rsup,
+                    iterations=raw.iterations, converged=True, outcome=raw.outcome))
+    if len(accepted) < 3:
+        _search(prob, lam, cfg, radius, accepted, outcomes)
+    return _solution_set(prob, lam, cfg, accepted, outcomes)
 
+
+def _search(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
+            accepted: list[_RawPoint], outcomes: list[tuple[str, int, str, int]]) -> None:
+    """The multistart, then deflation attempts until three points are
+    accepted or the attempts run out, on `prob` as given (no quotient):
+    appends the points it accepts to `accepted`, which may hold known ones,
+    and how each start and attempt ended to `outcomes`."""
     def accept(phase: str, index: int, raw: _RawPoint) -> None:
         if raw.converged:
             if _distinct(prob, raw.z, (a.z for a in accepted), cfg.distinct_tol):
@@ -753,6 +789,11 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
         accept("deflation", attempt, raw)
         attempt += 1
 
+
+def _solution_set(prob: Problem, lam: float, cfg: SolverConfig, accepted: list[_RawPoint],
+                  outcomes: list[tuple[str, int, str, int]]) -> SolutionSet:
+    """The accepted points in action order, each labelled by the Hessian at
+    it, with their W-distances and nontrivial flags."""
     accepted.sort(key=lambda r: r.action)
     points = [_finalize(prob, lam, raw) for raw in accepted]
     k = len(points)

@@ -17,6 +17,7 @@ from graphvar import (
     WeightedGraph,
     build_graph,
     grid3x3,
+    solver,
 )
 
 
@@ -74,6 +75,40 @@ def weighted_graphs(draw, n_max: int = 9):
     edges = [(ids[a], ids[b], draw(POSITIVE)) for a, b in sorted(pairs)]
     mu = {v: draw(POSITIVE) for v in ids}
     return WeightedGraph(ids, mu, edges)
+
+
+@st.composite
+def mirrored_graphs(draw, half_max: int = 5):
+    """A connected graph glued to its mirror image along its fixed vertices:
+    fixed vertices f0, f1, ... and vertices a0, a1, ... whose mirror images
+    are b0, b1, ...; every edge, measure and weight of the half is repeated
+    in the mirror, and an edge a_i - b_j comes with a_j - b_i.  Returns the
+    graph, the map of each vertex of the half to its mirror image, and the
+    values of a potential per vertex, mirrored like mu."""
+    fixed = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
+    moved = [f"a{i}" for i in range(draw(st.integers(1, half_max)))]
+    half = fixed + moved
+    mirror = {v: v if v in fixed else "b" + v[1:] for v in half}
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, len(half))}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, len(half) - 1),
+                                    st.integers(0, len(half) - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=len(half)))
+    edges = {}
+    for a, b in sorted(pairs):
+        w = draw(POSITIVE)
+        for x, y in ((half[a], half[b]), (mirror[half[a]], mirror[half[b]])):
+            edges[min(x, y), max(x, y)] = w
+    for i, j in draw(st.sets(st.tuples(st.integers(0, len(moved) - 1),
+                                       st.integers(0, len(moved) - 1)), max_size=3)):
+        w = draw(POSITIVE)
+        for x, y in ((moved[i], mirror[moved[j]]), (moved[j], mirror[moved[i]])):
+            edges[min(x, y), max(x, y)] = w
+    mu = {v: draw(POSITIVE) for v in half}
+    h = {v: draw(POSITIVE) for v in half}
+    ids = half + [mirror[v] for v in moved]
+    g = WeightedGraph(ids, {v: mu[v] for v in half} | {mirror[v]: mu[v] for v in moved},
+                      [(x, y, w) for (x, y), w in edges.items()])
+    return g, mirror, {v: h[v] for v in half} | {mirror[v]: h[v] for v in moved}
 
 
 def random_vf(rng: np.random.Generator, g: WeightedGraph, scale: float = 1.0) -> VertexFunction:
@@ -167,3 +202,12 @@ def linear_model() -> NonlinearityModel:
 
 def rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def full_space_solve(prob, lam: float, cfg, radius: float):
+    """find_three's multistart and deflation on `prob` itself, never on its
+    quotient: the full-space search that solver tests on the symmetric
+    builtins keep as their subject."""
+    accepted, outcomes = [], []
+    solver._search(prob, lam, cfg, radius, accepted, outcomes)
+    return solver._solution_set(prob, lam, cfg, accepted, outcomes)

@@ -5,6 +5,9 @@ lines.  Tolerances are pinned here, not configurable.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from graphvar.problems import builtin_problem
 from graphvar.sobolev import SobolevSpec
 from graphvar.solver import solution_set_to_json
 
-from conftest import random_graph, random_vf, smooth_model
+from conftest import full_space_solve, random_graph, random_vf, smooth_model
 
 REFERENCE_LO_61 = 0.07614
 REFERENCE_HI_61 = 0.65303
@@ -309,6 +312,29 @@ def test_acceptance_solves_match_pins(key, lam):
     assert text == (PINS / f"accept-{key}-{lam}.json").read_text()
 
 
+# The example-6.2 solve in a process with one BLAS thread: its Newton
+# systems are those of the 28-cell quotient, which LAPACK solves to the
+# same bits at one thread as with the default pool.
+SOLVE_62 = """
+import sys
+import graphvar as gv
+from graphvar.problems import builtin_problem
+from graphvar.solver import solution_set_to_json
+prep = builtin_problem("example-6.2")
+sset = gv.find_three(prep.problem, 1.0, gv.SolverConfig(seed=42),
+                     start_radius=1.0 + max(prep.deltas))
+sys.stdout.write(solution_set_to_json(sset))
+"""
+
+
+def test_acceptance_solve_matches_its_pin_at_one_blas_thread():
+    src = Path(gv.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", SOLVE_62], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src),
+                                          "OPENBLAS_NUM_THREADS": "1"})
+    assert run.stdout == (PINS / "accept-example-6.2-1.0.json").read_text()
+
+
 # How every start and deflation attempt of those solves ended, as
 # (phase, index, outcome); the iteration counts are not pinned.
 @pytest.mark.parametrize("key, lam", SOLVE_CONFIGS)
@@ -318,12 +344,14 @@ def test_acceptance_outcome_labels_match_pins(key, lam):
     assert labels == json.loads((PINS / "accept-outcomes.json").read_text())[f"{key}-{lam}"]
 
 
-# The deflation attempts of the seed-42 example-6.1 solves at lambda = 0.15
-# and 0.3: attempt 0 ends "stalled" after SLOW_LIMIT iterations that do not
-# halve the residual (it ran 31 and 24 iterations to the stall limit before
-# that exit), and attempt 1 finds the third point.
+# The deflation attempts of the seed-42 example-6.1 full-space searches at
+# lambda = 0.15 and 0.3: attempt 0 ends "stalled" after SLOW_LIMIT
+# iterations that do not halve the residual (it ran 31 and 24 iterations to
+# the stall limit before that exit), and attempt 1 finds the third point.
 @pytest.mark.parametrize("lam, stalled_after", [(0.15, 13), (0.3, 11)])
 def test_stalled_deflation_attempt_stops_early(lam, stalled_after):
-    sset, _, _ = _cached_solve("example-6.1", lam)
+    prep = builtin_problem("example-6.1")
+    sset = full_space_solve(prep.problem, lam, gv.SolverConfig(seed=42),
+                            1.0 + max(prep.deltas))
     attempts = [o for o in sset.outcomes if o[0] == "deflation"]
     assert attempts == [("deflation", 0, "stalled", stalled_after), ("deflation", 1, "new", 8)]

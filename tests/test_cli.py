@@ -282,6 +282,7 @@ def test_solve_manifest_records_where_the_stopping_rule_stopped(tmp_path):
     assert stats["multistart"] == {"starts": 17, "n": 17, "w": 2, "stop": "rule",
                                    "estimate": 32 / 13}
     assert sum(stats["start"].values()) == 17
+    assert stats["cells"] == 28  # the 169-vertex ball up to its eight symmetries
 
 
 def test_manifest_notes_local_labels_from_the_growth_exponents(tmp_path):
@@ -390,6 +391,7 @@ def test_sweep_rows_and_validation(tmp_path):
     assert [s["lambda"] for s in stats] == [0.2, 0.4]
     assert all(sum(s["start"].values()) == 8 + 1 for s in stats)
     assert all(s["multistart"]["starts"] == 8 + 1 for s in stats)
+    assert all(s["cells"] == 3 for s in stats)  # corners, edge midpoints, centre
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.2",
                  "--lambda-max", "0.4", "--steps", "1", "-o", str(out)]) == 2
     assert main(["sweep", "--reproduce", "example-6.1", "--lambda-min", "0.4",
@@ -538,6 +540,24 @@ def _scalar_problem_doc():
         "gamma": (16.0 / 3.0) ** (1.0 / 3.0), "delta": 6.0 * 4.0 ** (1.0 / 3.0),
         "x0": x0, "h0": 4.0, "mu0": 1.0,
     }
+
+
+@pytest.mark.parametrize("graph, cells", [
+    ({"builtin": "grid3x3"}, 3),
+    # a path whose two edges differ in weight: no two vertices alike
+    ({"vertices": [{"id": v, "mu": 1.0} for v in "abc"],
+      "edges": [{"a": "a", "b": "b", "w": 1.0}, {"a": "b", "b": "c", "w": 2.0}]}, 3),
+    ({"vertices": [{"id": v, "mu": 1.0} for v in "abcd"],
+      "edges": [{"a": "a", "b": "b", "w": 1.0}, {"a": "b", "b": "c", "w": 2.0},
+                {"a": "c", "b": "d", "w": 1.0}]}, 2),
+])
+def test_solve_manifest_counts_the_cells_of_the_quotient(tmp_path, graph, cells):
+    ppath, out = tmp_path / "problem.json", tmp_path / "sol.json"
+    ppath.write_text(json.dumps({**_coupled_problem_doc(), "graph": graph}))
+    assert main(["solve", "--problem", str(ppath), "--lambda", "0.3", "--starts", "2",
+                 "-o", str(out)]) == 0
+    stats = json.loads((tmp_path / "sol.json.manifest.json").read_text())["stats"]
+    assert stats["cells"] == cells
 
 
 @pytest.mark.parametrize("delta", [-10.0, -1.0])

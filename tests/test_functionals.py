@@ -3,17 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphvar as gv
 from graphvar.errors import BadParam
-from graphvar.functionals import monotonicity_modulus
+from graphvar.functionals import Problem, monotonicity_modulus
 from graphvar.problems import builtin_problem
+from graphvar.sobolev import SobolevSpec
 
 from conftest import (
     EXPONENTS,
     ORDERS,
     SEEDS,
     linear_model,
+    mirrored_graphs,
     random_graph,
     random_vf,
     rel_close,
@@ -253,3 +256,55 @@ def test_problem_spec_validation(p2):
     with pytest.raises(BadParam):
         gv.ProblemSpec(graph=p2, m1=1, m2=1, p=1.0, q=2.0, h1=h, h2=h,
                        nonlinearity=smooth_model())
+
+
+# -- the quotient by the coarsest equitable partition ------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(mirrored_graphs(), ORDERS, ORDERS, EXPONENTS, EXPONENTS, st.booleans(),
+       st.booleans(), SEEDS)
+def test_quotient_cells_are_equitable_and_carry_residual_and_action(
+        case, m1, m2, p, q, coupled, supported, seed):
+    g, mirror, h_values = case
+    h = gv.VertexFunction.from_dict(g, h_values)
+    model = smooth_model()
+    if supported:
+        model = dataclasses.replace(model, support="f0")
+    comps = [SobolevSpec(m1, p, h), SobolevSpec(m2, q, h)][:1 + coupled]
+    prob = Problem(g, comps, model)
+    quot, lift = prob.quotient
+    n, cells = g.n_vertices, quot.graph.n_vertices
+    cell = lift[:n]
+    assert lift.tolist() == [c + i * cells for i in range(len(comps)) for c in cell]
+    # the planted symmetry: every vertex shares its cell with its mirror image
+    assert all(cell[g.index(v)] == cell[g.index(w)] for v, w in mirror.items())
+    # equitable: the same mu, h and total weight W_xJ into each cell J
+    into = np.zeros((n, cells))
+    for (a, b), w in zip(g.edge_index.tolist(), g.edge_weight.tolist()):
+        into[a, cell[b]] += w
+        into[b, cell[a]] += w
+    for c in range(cells):
+        members = np.flatnonzero(cell == c)
+        assert np.all(g.mu[members] == g.mu[members[0]])
+        assert np.all(h.values[members] == h.values[members[0]])
+        assert np.allclose(into[members], into[members[0]], rtol=1e-12, atol=0.0)
+        assert quot.graph.vertices[c] == g.vertices[members[0]]  # its least id
+    if supported:
+        assert quot.graph.index("f0") == cell[g.index("f0")]
+    # at a cell-constant state the quotient gives the lifted residual and
+    # the action
+    zq = np.random.default_rng(seed).uniform(-2.0, 2.0, quot.n_dofs)
+    z = zq[lift]
+    full, lifted = prob.residual_vec(0.7, z), quot.residual_vec(0.7, zq)[lift]
+    assert np.max(np.abs(full - lifted)) <= 1e-12 * max(1.0, float(np.max(np.abs(full))))
+    assert rel_close(quot.action_vec(0.7, zq), prob.action_vec(0.7, z), 1e-12)
+    assert quot.size_dofs.sum() == len(comps) * n  # each vertex in one cell
+
+
+def test_problem_keeps_its_quotient_out_of_equality(prep62):
+    quot, lift = prep62.problem.quotient
+    assert prep62.problem.quotient[0] is quot
+    assert (quot.graph.n_vertices, quot.n_dofs, len(lift)) == (28, 28, 169)
+    assert quot.size_dofs.sum() == 169 and sorted(set(quot.size_dofs)) == [1.0, 4.0, 8.0]
+    fresh = dataclasses.replace(prep62.problem)  # the same fields, no quotient built
+    assert (prep62.problem == fresh, hash(prep62.problem) == hash(fresh)) == (True, True)

@@ -159,19 +159,22 @@ def test_coupled_blocks_are_scalar_problems_bitwise(case):
 # -- the problem owns its pattern ---------------------------------------------
 
 def count_patterns(monkeypatch) -> list:
+    """The n_dofs of each problem that builds a pattern, in order."""
     builds = []
     sparsity = functionals._sparsity
     monkeypatch.setattr(functionals, "_sparsity",
-                        lambda prob: builds.append(1) or sparsity(prob))
+                        lambda prob: builds.append(prob.n_dofs) or sparsity(prob))
     return builds
 
 
 def test_three_solves_on_one_problem_build_its_pattern_once(monkeypatch):
+    # the solves run on the 3-cell quotient, and label the lifted points by
+    # the problem's own Hessian: each builds its pattern once
     builds = count_patterns(monkeypatch)
     prob = builtin_problem("example-6.1").problem
     for lam in (0.15, 0.3, 0.5):
         gv.find_three(prob, lam, gv.SolverConfig(seed=7, starts=4))
-    assert builds == [1]
+    assert builds == [6, 18]
     fresh = dataclasses.replace(prob)  # the same fields, no pattern built
     assert (prob == fresh, hash(prob) == hash(fresh)) == (True, True)
 

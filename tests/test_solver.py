@@ -16,7 +16,7 @@ from graphvar.functionals import Problem
 from graphvar.problems import builtin_problem
 from graphvar.solver import solution_set_to_json
 
-from conftest import linear_model, random_graph
+from conftest import full_space_solve, linear_model, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -158,10 +158,11 @@ def close_pair(prep61):
     """Example 6.1 at lambda = 0.5, seed 5: a minimizer far out, a saddle
     3.0% of its norm away (the closest two critical points of the
     acceptance solves at seeds 0-9 and 42), and the minimizer near zero;
-    each as an accepted raw point."""
+    each as an accepted raw point.  The full-space search finds this
+    saddle; the symmetric one of the quotient lies farther out."""
     prob = prep61.problem
-    sset = gv.find_three(prob, 0.5, gv.SolverConfig(seed=5, starts=8),
-                         start_radius=1.0 + max(prep61.deltas))
+    sset = full_space_solve(prob, 0.5, gv.SolverConfig(seed=5, starts=8),
+                            1.0 + max(prep61.deltas))
     assert [p.kind for p in sset.points] == ["minimizer", "saddle", "minimizer"]
     raws = []
     for p in sset.points:
@@ -401,7 +402,7 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
     # the solutions, outcome labels and stopping decisions are the serial
     # loop's; a start the serial loop captures may stop in the ball later,
     # with more iterations, since a new capture ball is tested on a launched
-    # descent from where it is
+    # descent from where it is (the full-space search, on 18 and 169 dofs)
     later, stopped = 0, 0
     launch = solver._launch
     for key, lam, starts, seeds in (("example-6.1", 0.3, 8, (0, 3, 42)),
@@ -416,10 +417,10 @@ def test_lockstep_multistart_equals_serial_loop(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(solver, "_launch",
                           lambda prob, lam, zs: launched.extend(zs) or launch(prob, lam, zs))
-                lockstep = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
+                lockstep = full_space_solve(prep.problem, lam, cfg, radius)
             with monkeypatch.context() as m:
                 m.setattr(solver, "_multistart", serial_multistart)
-                serial = gv.find_three(prep.problem, lam, cfg, start_radius=radius)
+                serial = full_space_solve(prep.problem, lam, cfg, radius)
             assert solution_set_to_json(lockstep) == solution_set_to_json(serial), (key, seed)
             assert len(lockstep.outcomes) == len(serial.outcomes), (key, seed)
             for got, want in zip(lockstep.outcomes, serial.outcomes):
@@ -496,7 +497,7 @@ class Quartic:
     The residual (mu 1) is the gradient in z0 and z1; in z2 it is -100 z2,
     so a step along it climbs unless it is too short to move z2 at all."""
 
-    mu_dofs = np.ones(3)
+    mu_dofs = size_dofs = np.ones(3)
 
     def action_vec(self, lam, z):
         return 0.5 * z[0] ** 2 + 0.5 * z[1] ** 2 - 0.25 * z[1] ** 4 + 0.5 * z[2] ** 2
@@ -605,9 +606,10 @@ def test_horizon_stops_where_the_rule_first_stops():
 
 def test_diverged_starts_do_not_count_toward_the_stop(prep61):
     # 2 points from the starts stop the rule at N = 17, which the
-    # example-6.1 solve reaches only at start 63: most of its starts diverge
-    sset = gv.find_three(prep61.problem, 0.15, gv.SolverConfig(seed=42),
-                         start_radius=1.0 + max(prep61.deltas))
+    # example-6.1 full-space search reaches only at start 63: most of its
+    # starts diverge
+    sset = full_space_solve(prep61.problem, 0.15, gv.SolverConfig(seed=42),
+                            1.0 + max(prep61.deltas))
     starts = [outcome for phase, _, outcome, _ in sset.outcomes if phase == "start"]
     assert (len(starts), starts.count("new"), starts.count("diverged")) == (64, 2, 47)
     assert starts[-1] != "diverged"
@@ -685,6 +687,7 @@ def test_discrete_partition_solve_matches_pin(prep61):
     # this solve reaches deflation and finds a minimizer, a saddle and the
     # deep minimizer
     prob = discrete_problem(prep61)
+    assert prob.quotient[0] is prob
     sset = gv.find_three(prob, 0.3, gv.SolverConfig(seed=42, starts=8),
                          start_radius=1.0 + max(prep61.deltas))
     assert solution_set_to_json(sset) == (PINS / "solve-discrete.json").read_text()
