@@ -623,8 +623,12 @@ def test_work_of_one_solve(monkeypatch):
     # (309 residual calls, 4,268 columns) and example-6.2 22 for 17 (685 and
     # 5,147).  With one trial per action call and the origin start in the
     # launch rate they made 265 and 687 residual calls and 388 and 944
-    # action calls.  The counts are the same with one BLAS thread and with
-    # the default pool.
+    # action calls.  In the full space, before the solves ran on the 3- and
+    # 28-cell quotients, they made 248 and 662 residual calls (2,985 and
+    # 4,758 columns) and 149 and 711 action calls (3,640 and 3,830); on the
+    # quotient example-6.1 stops its multistart after 33 starts, of the 65
+    # it launched, and makes 4 deflation attempts instead of 2.  The counts
+    # are the same with one BLAS thread and with the default pool.
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -639,9 +643,9 @@ def test_work_of_one_solve(monkeypatch):
         return launch(prob, lam, zs)
     monkeypatch.setattr(solver, "_launch", launching)
     for key, lam, want in (
-            ("example-6.1", 0.3, {"residual_vec": (248, 2985), "action_vec": (149, 3640),
+            ("example-6.1", 0.3, {"residual_vec": (519, 2524), "action_vec": (125, 2984),
                                   "launched": 65}),
-            ("example-6.2", 1.0, {"residual_vec": (662, 4758), "action_vec": (711, 3830),
+            ("example-6.2", 1.0, {"residual_vec": (659, 4255), "action_vec": (647, 3152),
                                   "launched": 17})):
         prep = builtin_problem(key)
         work.clear()
