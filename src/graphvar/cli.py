@@ -218,14 +218,18 @@ def _outcome_stats(prob: Problem, sset: SolutionSet) -> dict:
     the model's growth exponents are not below the component exponents, so
     the action need not be bounded below.  `cells` is the number of cells
     of the quotient the solver searched, the vertex count when the
-    problem's partition is discrete."""
-    stats: dict = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
+    problem's partition is discrete.  When the problem itself was searched
+    after its quotient, the counts cover both searches and the multistart
+    entry is the last one's, whose starts count from 0 again."""
+    stats = {phase: dict.fromkeys(OUTCOMES, 0) for phase in ("start", "deflation")}
     for phase, _, outcome, _ in sset.outcomes:
         stats[phase][outcome] += 1
-    starts = stats["start"]
-    n, w = sum(starts.values()) - starts["diverged"], starts["new"]
+    last = max((i for i, (phase, index, _, _) in enumerate(sset.outcomes)
+                if (phase, index) == ("start", 0)), default=0)
+    starts = [outcome for phase, _, outcome, _ in sset.outcomes[last:] if phase == "start"]
+    n, w = len(starts) - starts.count("diverged"), starts.count("new")
     estimate = _stop_estimate(n, w)
-    stats["multistart"] = {"starts": sum(starts.values()), "n": n, "w": w,
+    stats["multistart"] = {"starts": len(starts), "n": n, "w": w,
                            "stop": "cap" if estimate is None else "rule",
                            "estimate": estimate}
     stats["cells"] = prob.quotient[0].graph.n_vertices

@@ -199,9 +199,9 @@ class Problem:
             g, first = self.graph, np.unique(cell, return_index=True)[1]
             ids = [g.vertices[i] for i in first]
             weight: dict[tuple[int, int], float] = {}
-            for (a, b), w in zip(cell[g.edge_index].tolist(), g.edge_weight.tolist()):
+            for (a, b), w in zip(np.sort(cell[g.edge_index]).tolist(), g.edge_weight.tolist()):
                 if a != b:
-                    weight[min(a, b), max(a, b)] = weight.get((min(a, b), max(a, b)), 0.0) + w
+                    weight[a, b] = weight.get((a, b), 0.0) + w
             qg = WeightedGraph(ids, dict(zip(ids, np.bincount(cell, weights=g.mu))),
                                [(ids[a], ids[b], w) for (a, b), w in weight.items()])
             comps = [SobolevSpec(c.m, c.l, VertexFunction(qg, c.h.values[first]))

@@ -25,6 +25,21 @@ Distinctness of solutions is always measured in the product Sobolev norm;
 the deflation factor itself uses the plain euclidean distance, which keeps
 its gradient trivial.
 
+A problem whose coarsest equitable partition has fewer cells than vertices
+is searched on its quotient (``Problem.quotient``), whose zeros lift to
+zeros of the problem (symmetric criticality, Palais 1979; Neuberger & Swift
+2001 restrict Newton's method the same way).  Both builtins are
+D4-symmetric: example 6.1 has 3 cells, example 6.2 28.  The descent there
+takes the lifted state's step (_descent_step); Newton and its Hessian are
+the quotient's own, the true symmetric Hessian of the quotient action.
+Each point found is lifted, and its residual, action, kind, W-distances
+and distinctness are taken on the problem itself; with fewer than three
+points the search runs again on the problem, the lifted points known.  At
+seeds 0-9 and 42 the example-6.2 points are those of the full-space search
+(within 2.1e-11 in W-norm), and its Newton systems, of 28 unknowns, solve
+to the same bits at any BLAS thread count; example 6.1 finds a symmetric
+saddle.  The figures below were measured on the full-space search.
+
 Multistart descents and their Newton polishes stop early, with
 ``converged=False``, once they can only end as a divergence or as a
 duplicate (single-start `minimize` has no such exits):

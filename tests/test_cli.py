@@ -285,6 +285,19 @@ def test_solve_manifest_records_where_the_stopping_rule_stopped(tmp_path):
     assert stats["cells"] == 28  # the 169-vertex ball up to its eight symmetries
 
 
+def test_manifest_describes_the_last_multistart_of_a_solve(tmp_path):
+    # at lambda = 1e-9 the quotient finds one point, and the search of the
+    # problem that follows finds no other: each ran its five starts to the
+    # cap, which the ten counted together would read as a stop by the rule
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--reproduce", "example-6.1", "--lambda", "1e-9",
+                 "--seed", "42", "--starts", "4", "-o", str(out)]) == 0
+    stats = json.loads((tmp_path / "sol.json.manifest.json").read_text())["stats"]
+    assert sum(stats["start"].values()) == 10 and stats["start"]["new"] == 1
+    assert stats["multistart"] == {"starts": 5, "n": 5, "w": 0, "stop": "cap",
+                                   "estimate": None}
+
+
 def test_manifest_notes_local_labels_from_the_growth_exponents(tmp_path):
     # example 6.1 has alpha = 4 - r1 = 2 = p: not coercive, even when no
     # start happens to diverge

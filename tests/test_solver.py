@@ -159,7 +159,7 @@ def close_pair(prep61):
     3.0% of its norm away (the closest two critical points of the
     acceptance solves at seeds 0-9 and 42), and the minimizer near zero;
     each as an accepted raw point.  The full-space search finds this
-    saddle; the symmetric one of the quotient lies farther out."""
+    saddle; the search on the quotient finds a symmetric one instead."""
     prob = prep61.problem
     sset = full_space_solve(prob, 0.5, gv.SolverConfig(seed=5, starts=8),
                             1.0 + max(prep61.deltas))
@@ -363,6 +363,27 @@ def test_find_three_outside_interval_finds_fewer(prep61):
     sset = gv.find_three(prep61.problem, 1e-9, cfg,
                          start_radius=1.0 + max(prep61.deltas))
     assert not sset.found_three  # strictly convex limit: one point
+
+
+def test_fewer_than_three_lifted_points_search_the_problem_too(prep61, monkeypatch):
+    # strictly convex at lambda = 1e-9: the 3-cell quotient finds the one
+    # point, and the search on the problem itself, which knows it, finds
+    # nothing more; the outcomes list the quotient's starts, then its own
+    searches = []
+    search = solver._search
+
+    def recording(prob, lam, cfg, radius, accepted, outcomes):
+        searches.append((prob.n_dofs, len(accepted)))
+        return search(prob, lam, cfg, radius, accepted, outcomes)
+    monkeypatch.setattr(solver, "_search", recording)
+    sset = gv.find_three(prep61.problem, 1e-9, gv.SolverConfig(seed=42, starts=4),
+                         start_radius=1.0 + max(prep61.deltas))
+    assert searches == [(6, 0), (18, 1)]
+    assert len(sset.points) == 1 and sset.points[0].residual_sup <= 1e-8
+    starts = [(index, outcome) for phase, index, outcome, _ in sset.outcomes
+              if phase == "start"]
+    assert [index for index, _ in starts] == list(range(5)) * 2
+    assert [outcome for _, outcome in starts].count("new") == 1
 
 
 def test_find_three_deterministic_bytes(prep61):
@@ -687,9 +708,8 @@ def discrete_problem(prep):
 
 
 def test_discrete_partition_solve_matches_pin(prep61):
-    # the pin was written before the solver learned to solve on a quotient;
-    # this solve reaches deflation and finds a minimizer, a saddle and the
-    # deep minimizer
+    # the pin was written before the solver could search a quotient; this
+    # solve reaches deflation and finds both minimizers and a saddle
     prob = discrete_problem(prep61)
     assert prob.quotient[0] is prob
     sset = gv.find_three(prob, 0.3, gv.SolverConfig(seed=42, starts=8),
