@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -107,11 +107,9 @@ class Problem:
     graph: WeightedGraph
     components: tuple[SobolevSpec, ...]
     nonlinearity: NonlinearityModel
-    # per vertex of a quotient, the number of vertices its cell holds; None
-    # (all ones) for a problem that is not a quotient
-    cell_sizes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # (entries of z, m, l, h values) per component, and mu and the cell
-    # sizes once per component
+    # (entries of z, m, l, h values) per component; mu once per component,
+    # and per entry the number of vertices of its cell (all ones but on a
+    # quotient, where `quotient` sets it)
     _blocks: tuple = field(init=False, repr=False, compare=False)
     mu_dofs: np.ndarray = field(init=False, repr=False, compare=False)
     size_dofs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -127,8 +125,7 @@ class Problem:
             (slice(i * n, (i + 1) * n), c.m, c.l, c.h.values)
             for i, c in enumerate(self.components)))
         object.__setattr__(self, "mu_dofs", np.concatenate([self.graph.mu] * k))
-        sizes = np.ones(n) if self.cell_sizes is None else self.cell_sizes
-        object.__setattr__(self, "size_dofs", np.concatenate([sizes] * k))
+        object.__setattr__(self, "size_dofs", np.ones(n * k))
 
     # -- flat-vector view (solver interface) ----------------------------------
 
@@ -187,10 +184,10 @@ class Problem:
     @cached_property
     def quotient(self) -> tuple[Problem, np.ndarray]:
         """(quotient problem, lift): the problem on the cells of `_cells`,
-        and the entry of its state that each entry of a lifted state takes,
-        z[lift].  Built on first use and kept, read-only; a cache, so not
-        part of == or hash.  A problem whose partition is discrete is its
-        own quotient."""
+        its `size_dofs` the cell sizes, and the entry of its state that each
+        entry of a lifted state takes, z[lift].  Built on first use and
+        kept, read-only; a cache, so not part of == or hash.  A problem
+        whose partition is discrete is its own quotient."""
         cell = _cells(self)
         k, n = int(cell.max()) + 1, self.graph.n_vertices
         if k == n:
@@ -206,7 +203,9 @@ class Problem:
                                [(ids[a], ids[b], w) for (a, b), w in weight.items()])
             comps = [SobolevSpec(c.m, c.l, VertexFunction(qg, c.h.values[first]))
                      for c in self.components]
-            quot = Problem(qg, comps, self.nonlinearity, np.bincount(cell).astype(float))
+            quot = Problem(qg, comps, self.nonlinearity)
+            object.__setattr__(quot, "size_dofs",
+                               np.concatenate([np.bincount(cell).astype(float)] * len(comps)))
         lift = np.concatenate([cell + i * k for i in range(len(self.components))])
         lift.setflags(write=False)
         return quot, lift
