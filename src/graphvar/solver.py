@@ -378,12 +378,14 @@ def _descent_step(prob: Problem, lam: float, run: _Descents, balls: Sequence[_Ba
         keep = ~small
         idx, z, act, res = idx[keep], z[keep], act[keep], res[keep]
     size = prob.size_dofs
-    grad = prob.mu_dofs / size * res
-    gg = np.vecdot(size * grad, grad)
+    slope = prob.mu_dofs * res  # s * grad
+    grad = slope / size
+    gg = np.vecdot(slope, grad)
     dg, dz = grad - run.prev_grad[idx], z - run.prev_z[idx]
-    dgg = np.vecdot(size * dg, dg)
+    size_dg = size * dg
+    dgg = np.vecdot(size_dg, dg)
     good = (run.iters[idx] > 0) & (dgg > 0.0)  # a step taken, so prev_z and prev_grad hold it
-    bb = np.divide(np.vecdot(size * dz, dg), dgg, out=np.zeros_like(dgg), where=good)
+    bb = np.divide(np.vecdot(dz, size_dg), dgg, out=np.zeros_like(dgg), where=good)
     good &= np.isfinite(bb) & (bb > 0.0)
     t = np.minimum(np.where(good, bb, 2.0 * run.t_warm[idx]), 1e6)
     i = np.arange(idx.size)  # the moving rows still searching, as positions in idx
@@ -761,26 +763,36 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     quotient, lift = prob.quotient
     if quotient is not prob:
         found: list[_RawPoint] = []
-        _search(quotient, lam, cfg, radius, found, outcomes)
-        for raw in found:
+        _search(quotient, lam, cfg, radius, found, outcomes, mountain_pass=True)
+        news = [i for i, (_, _, outcome, _) in enumerate(outcomes) if outcome == "new"]
+        for i, raw in zip(news, found, strict=True):  # the outcome of each point found
             z = raw.z[lift]
             rsup = _sup(prob.residual_vec(lam, z))
-            if rsup <= cfg.grad_tol and _distinct(prob, z, (a.z for a in accepted),
-                                                  cfg.distinct_tol):
+            outcome = ("stalled" if not rsup <= cfg.grad_tol
+                       else "new" if _distinct(prob, z, (a.z for a in accepted),
+                                               cfg.distinct_tol)
+                       else "duplicate")
+            phase, index, _, iters = outcomes[i]
+            outcomes[i] = (phase, index, outcome, iters)
+            if outcome == "new":
                 accepted.append(_RawPoint(
                     z=z, action=prob.action_vec(lam, z), residual_sup=rsup,
-                    iterations=raw.iterations, converged=True, outcome=raw.outcome))
+                    iterations=iters, converged=True, outcome=outcome))
     if len(accepted) < 3:
         _search(prob, lam, cfg, radius, accepted, outcomes)
     return _solution_set(prob, lam, cfg, accepted, outcomes)
 
 
 def _search(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
-            accepted: list[_RawPoint], outcomes: list[tuple[str, int, str, int]]) -> None:
+            accepted: list[_RawPoint], outcomes: list[tuple[str, int, str, int]],
+            mountain_pass: bool = False) -> None:
     """The multistart, then deflation attempts until three points are
     accepted or the attempts run out, on `prob` as given (no quotient):
     appends the points it accepts to `accepted`, which may hold known ones,
-    and how each start and attempt ended to `outcomes`."""
+    and how each start and attempt ended to `outcomes`.  Attempt i starts
+    at accepted point i (cyclically) plus a random perturbation; with
+    `mountain_pass` and two points accepted, attempt 0 starts at
+    `_pass_point` between them instead."""
     def accept(phase: str, index: int, raw: _RawPoint) -> None:
         if raw.converged:
             if _distinct(prob, raw.z, (a.z for a in accepted), cfg.distinct_tol):
@@ -794,15 +806,26 @@ def _search(prob: Problem, lam: float, cfg: SolverConfig, radius: float,
     attempts = max(32, cfg.starts)
     attempt = 0
     while len(accepted) < 3 and attempt < attempts:
-        if accepted:
-            base = accepted[attempt % len(accepted)].z
+        if mountain_pass and attempt == 0 and len(accepted) == 2:
+            z0 = _pass_point(prob, lam, accepted[0].z, accepted[1].z)
         else:
-            base = np.zeros(prob.n_dofs)
-        scale = (0.25, 0.5, 1.0, 2.0)[attempt % 4]
-        z0 = base + _perturbation(cfg, attempt, prob.n_dofs, scale * radius)
+            base = accepted[attempt % len(accepted)].z if accepted else np.zeros(prob.n_dofs)
+            scale = (0.25, 0.5, 1.0, 2.0)[attempt % 4]
+            z0 = base + _perturbation(cfg, attempt, prob.n_dofs, scale * radius)
         raw = _deflated_newton(prob, lam, [a.z for a in accepted], z0, cfg)
         accept("deflation", attempt, raw)
         attempt += 1
+
+
+def _pass_point(prob: Problem, lam: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The highest point of the action on the segment from a to b, among
+    the 63 that split it into 64 equal parts (one batched action call): a
+    seed for the mountain pass between two minimizers (Choi & McKenna
+    1993 relax a path to it; here the straight segment alone)."""
+    along = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 65)[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = prob.action_vec(lam, along)
+    return along[:, int(np.argmax(np.where(np.isnan(act), -np.inf, act)))].copy()
 
 
 def _solution_set(prob: Problem, lam: float, cfg: SolverConfig, accepted: list[_RawPoint],

@@ -372,9 +372,9 @@ def test_fewer_than_three_lifted_points_search_the_problem_too(prep61, monkeypat
     searches = []
     search = solver._search
 
-    def recording(prob, lam, cfg, radius, accepted, outcomes):
+    def recording(prob, lam, cfg, radius, accepted, outcomes, **kw):
         searches.append((prob.n_dofs, len(accepted)))
-        return search(prob, lam, cfg, radius, accepted, outcomes)
+        return search(prob, lam, cfg, radius, accepted, outcomes, **kw)
     monkeypatch.setattr(solver, "_search", recording)
     sset = gv.find_three(prep61.problem, 1e-9, gv.SolverConfig(seed=42, starts=4),
                          start_radius=1.0 + max(prep61.deltas))
@@ -384,6 +384,44 @@ def test_fewer_than_three_lifted_points_search_the_problem_too(prep61, monkeypat
               if phase == "start"]
     assert [index for index, _ in starts] == list(range(5)) * 2
     assert [outcome for _, outcome in starts].count("new") == 1
+
+
+@pytest.mark.parametrize("label", ["stalled", "duplicate"])
+def test_a_lifted_point_the_problem_rejects_is_relabelled(prep61, monkeypatch, label):
+    # the problem rejects the first point the quotient found, by its
+    # residual ("stalled") or as not distinct ("duplicate"): its outcome
+    # says so, so the new outcomes still count the points returned
+    prob, radius = prep61.problem, 1.0 + max(prep61.deltas)
+    plain = gv.find_three(prob, 0.3, gv.SolverConfig(seed=42), start_radius=radius)
+    rejected = []
+    if label == "stalled":
+        residual = Problem.residual_vec
+
+        def patched(self, lam, z):
+            res = residual(self, lam, z)
+            if self is prob and z.ndim == 1 and not rejected:  # the first lift
+                rejected.append(1)
+                return res + 1.0
+            return res
+        monkeypatch.setattr(Problem, "residual_vec", patched)
+    else:
+        distinct = solver._distinct
+
+        def patched(p, z, knowns, tol):
+            if p is prob and not rejected:  # the first lift
+                rejected.append(1)
+                return False
+            return distinct(p, z, knowns, tol)
+        monkeypatch.setattr(solver, "_distinct", patched)
+    sset = gv.find_three(prob, 0.3, gv.SolverConfig(seed=42), start_radius=radius)
+    assert rejected == [1]
+    first = [outcome for _, _, outcome, _ in plain.outcomes].index("new")
+    phase, index, _, iters = plain.outcomes[first]
+    expect = list(plain.outcomes)
+    expect[first] = (phase, index, label, iters)
+    assert sset.outcomes[:len(expect)] == expect  # the quotient's, then the problem's
+    assert len(sset.outcomes) > len(expect)
+    assert [outcome for _, _, outcome, _ in sset.outcomes].count("new") == len(sset.points)
 
 
 def test_find_three_deterministic_bytes(prep61):

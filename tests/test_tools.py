@@ -1,7 +1,7 @@
 """tools/gate_diff.py passes two byte-gate outputs only when they differ in
 iteration counts alone; tools/byte_gate.py prints each start's and
-attempt's iterations; tools/point_gate.py matches two dumps of point sets
-point by point."""
+attempt's iterations and dumps point sets; tools/point_gate.py matches two
+such dumps point by point."""
 
 import importlib.util
 import json
@@ -123,8 +123,8 @@ def test_point_gate_prints_an_unmatched_point_with_its_distance():
         "the dumps hold different solves"]
 
 
-def test_point_gate_dumps_a_solution_set_point_by_point():
-    gate = load_tool("point_gate")
+def test_byte_gate_dumps_a_solution_set_point_by_point():
+    gate = load_tool("byte_gate")
     prep = builtin_problem("example-6.1")
     text = (Path(__file__).parent / "pins" / "solve-example-6.1.json").read_text()
     sset = solution_set_from_doc(prep.problem, json.loads(text))

@@ -5,6 +5,7 @@ Run from anywhere; it imports graphvar from the `src` beside this file:
 
     python3 tools/byte_gate.py > gate.txt
     OPENBLAS_NUM_THREADS=1 python3 tools/byte_gate.py > gate-1thread.txt
+    python3 tools/byte_gate.py --points points.json > gate.txt
 
 Each output is one line: its sha256, and for a solve its outcome labels and
 iteration counts.
@@ -23,6 +24,10 @@ any line that differs names the output that changed.  It covers:
 
 Dense LAPACK results depend on the OpenBLAS thread count, so compare only
 runs made with the same setting.  A full run takes about a minute.
+
+`--points OUT` also writes the point set of every solve above, the sweeps'
+as `sweep --reproduce` solved them, each point as its packed state,
+action, kind and residual: the dump `tools/point_gate.py` compares.
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ def _labels(sset) -> str:
                     for key, items in (labels | iters).items())
 
 
+def _points(prob, sset) -> list[dict]:
+    return [{"z": prob.pack_state(p.state).tolist(), "action": p.action_value,
+             "kind": p.kind, "residual": p.residual_sup} for p in sset.points]
+
+
 def _run_cli(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):  # one line per output
         code = cli.main(argv)
@@ -68,7 +78,11 @@ def _run_cli(argv: list[str]) -> None:
         raise SystemExit(f"graphvar {' '.join(argv)} exited {code}")
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
+    if argv[1:] and (len(argv) != 3 or argv[1] != "--points"):
+        print("usage: python3 tools/byte_gate.py [--points OUT]", file=sys.stderr)
+        return 2
+    points = []  # per solve, its name, problem key and point set
     for key, lams in SOLVES:
         prep = builtin_problem(key)
         for lam in lams:
@@ -77,6 +91,8 @@ def main() -> None:
                                      start_radius=1.0 + max(prep.deltas))
                 text = solution_set_to_json(sset).encode()
                 print(f"solve {key} {lam} seed={seed} {_sha(text)} {_labels(sset)}")
+                points.append({"name": f"accept {key} {lam!r} seed={seed}", "key": key,
+                               "points": _points(prep.problem, sset)})
 
     solved = []
     find_three = cli.find_three
@@ -93,15 +109,22 @@ def main() -> None:
             _run_cli(["sweep", "--reproduce", key, *SWEEP, "-o", str(out)])
             print(f"sweep {key} csv {_sha(out.read_bytes())}")
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            prob = builtin_problem(key).problem
             for entry, sset in zip(manifest["stats"], solved, strict=True):
                 rest = {k: v for k, v in entry.items() if k != "start"}
                 print(f"sweep {key} {json.dumps(rest, sort_keys=True)} {_labels(sset)}")
+                points.append({"name": f"sweep {key} {sset.lam!r} seed={sset.seed}", "key": key,
+                               "points": _points(prob, sset)})
         for key in BUILTIN_KEYS:
             out = Path(tmp) / f"interval-{key}.json"
             _run_cli(["interval", "--reproduce", key, "-o", str(out)])
             print(f"interval {key} {_sha(out.read_bytes())}")
     cli.find_three = find_three
+    if argv[1:]:
+        dump = {"distinct_tol": gv.SolverConfig().distinct_tol, "solves": points}
+        Path(argv[2]).write_text(json.dumps(dump, indent=1) + "\n", encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv))

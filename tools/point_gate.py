@@ -1,20 +1,13 @@
 #!/usr/bin/env python3
 """Compare the critical points that two versions of the solver find.
 
-Run from anywhere; it imports graphvar from the `src` beside this file:
+Run from anywhere; it imports graphvar from the `src` beside this file.
+`tools/byte_gate.py --points` writes the dumps, one per checkout, of the
+point sets of the 44 acceptance solves and both seed-42 16-step sweeps:
 
-    python3 tools/point_gate.py dump parent.json     # in the parent checkout
-    python3 tools/point_gate.py dump change.json     # in the changed one
+    python3 tools/byte_gate.py --points parent.json > /dev/null  # parent checkout
+    python3 tools/byte_gate.py --points change.json > /dev/null  # changed one
     python3 tools/point_gate.py compare parent.json change.json
-
-`dump` writes the point sets of
-- the 44 acceptance solves: example-6.1 at lambda = 0.15, 0.3, 0.5 and
-  example-6.2 at lambda = 1.0, at seeds 0-9 and 42, default SolverConfig;
-- both seed-42 16-step sweeps: `find_three` at each lambda of
-  `sweep --reproduce <key> --lambda-min 0.05 --lambda-max 0.8 --steps 16
-  --seed 42`, with the start radius the CLI uses;
-each point as its packed state, action, kind and residual.  A full run
-takes about a minute.
 
 `compare` matches the solves of two dumps one by one.  A point matches when
 the other side has a point of the same kind within distinct_tol of it in
@@ -34,34 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import graphvar as gv  # noqa: E402
 from graphvar.problems import builtin_problem  # noqa: E402
-
-ACCEPTANCE = (("example-6.1", (0.15, 0.3, 0.5)), ("example-6.2", (1.0,)))
-SEEDS = tuple(range(10)) + (42,)
-SWEEP_LAMBDAS = np.linspace(0.05, 0.8, 16)
-
-
-def _points(prob, sset) -> list[dict]:
-    return [{"z": prob.pack_state(p.state).tolist(), "action": p.action_value,
-             "kind": p.kind, "residual": p.residual_sup} for p in sset.points]
-
-
-def dump() -> dict:
-    cfg = gv.SolverConfig()
-    solves = []
-    for key in ("example-6.1", "example-6.2"):
-        prep = builtin_problem(key)
-        radius = 1.0 + max(prep.deltas)
-        runs = [("accept", lam, seed) for k, lams in ACCEPTANCE if k == key
-                for lam in lams for seed in SEEDS]
-        runs += [("sweep", float(lam), 42) for lam in SWEEP_LAMBDAS]
-        for kind, lam, seed in runs:
-            sset = gv.find_three(prep.problem, lam, gv.SolverConfig(seed=seed),
-                                 start_radius=radius)
-            solves.append({"name": f"{kind} {key} {lam!r} seed={seed}", "key": key,
-                           "points": _points(prep.problem, sset)})
-    return {"distinct_tol": cfg.distinct_tol, "solves": solves}
 
 
 def _unmatched(prob, tol: float, mine: list[dict], theirs: list[dict]) -> list[str]:
@@ -97,9 +63,6 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[1] == "dump":
-        Path(argv[2]).write_text(json.dumps(dump(), indent=1) + "\n", encoding="utf-8")
-        return 0
     if len(argv) == 4 and argv[1] == "compare":
         a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in argv[2:])
         bad = compare(a, b)
@@ -108,7 +71,7 @@ def main(argv: list[str]) -> int:
         print(f"solves: {len(a['solves'])}; lines that differ: {len(bad)}")
         print("gate: " + ("FAIL" if bad else "pass"))
         return 1 if bad else 0
-    print("usage: python3 tools/point_gate.py dump OUT | compare A B", file=sys.stderr)
+    print("usage: python3 tools/point_gate.py compare A B", file=sys.stderr)
     return 2
 
 
