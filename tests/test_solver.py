@@ -684,10 +684,12 @@ def test_work_of_one_solve(monkeypatch):
     # launch rate they made 265 and 687 residual calls and 388 and 944
     # action calls.  In the full space, before the solves ran on the 3- and
     # 28-cell quotients, they made 248 and 662 residual calls (2,985 and
-    # 4,758 columns) and 149 and 711 action calls (3,640 and 3,830); on the
+    # 4,758 columns) and 149 and 711 action calls (3,640 and 3,830).  On the
     # quotient example-6.1 stops its multistart after 33 starts, of the 65
-    # it launched, and makes 4 deflation attempts instead of 2.  The counts
-    # are the same with one BLAS thread and with the default pool.
+    # it launched; with random deflation seeds it made 4 attempts (519 and
+    # 659 residual calls), and from the pass between its two points it
+    # makes 1, as example-6.2 does.  The counts are the same with one BLAS
+    # thread and with the default pool.
     work = {}
     for name in ("residual_vec", "action_vec"):
         def counted(self, lam, z, _fn=getattr(Problem, name), _name=name):
@@ -702,9 +704,9 @@ def test_work_of_one_solve(monkeypatch):
         return launch(prob, lam, zs)
     monkeypatch.setattr(solver, "_launch", launching)
     for key, lam, want in (
-            ("example-6.1", 0.3, {"residual_vec": (519, 2524), "action_vec": (125, 2984),
+            ("example-6.1", 0.3, {"residual_vec": (160, 1868), "action_vec": (123, 3044),
                                   "launched": 65}),
-            ("example-6.2", 1.0, {"residual_vec": (659, 4255), "action_vec": (647, 3152),
+            ("example-6.2", 1.0, {"residual_vec": (525, 3246), "action_vec": (646, 3213),
                                   "launched": 17})):
         prep = builtin_problem(key)
         work.clear()
