@@ -36,7 +36,7 @@ Each point found is lifted, and its residual, action, kind, W-distances
 and distinctness are taken on the problem itself; with fewer than three
 points the search runs again on the problem, the lifted points known.  At
 seeds 0-9 and 42 the example-6.2 points are those of the full-space search
-(within 2.1e-11 in W-norm), and its Newton systems, of 28 unknowns, solve
+(within 1.3e-11 in W-norm), and its Newton systems, of 28 unknowns, solve
 to the same bits at any BLAS thread count; example 6.1 finds a symmetric
 saddle.  The figures below were measured on the full-space search.
 

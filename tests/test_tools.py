@@ -78,6 +78,13 @@ def test_byte_gate_prints_labels_then_iterations():
         "start= deflation= start_iters= deflation_iters=")
 
 
+def test_byte_gate_takes_only_a_points_file():
+    run = subprocess.run([sys.executable, str(TOOLS / "byte_gate.py"), "--point", "out.json"],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: python3 tools/byte_gate.py [--points OUT]")
+
+
 def point_dump(*solves):
     """A point_gate dump of example-6.1 solves, each a list of (offset,
     kind): a point whose 18 values all equal the offset."""
