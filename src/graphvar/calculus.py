@@ -145,14 +145,7 @@ def weighted_p_lap_arr(g: WeightedGraph, arr: np.ndarray, coeff: np.ndarray) -> 
 
 
 def p_laplacian_arr(g: WeightedGraph, arr: np.ndarray, p: float) -> np.ndarray:
-    p = _check_exponent(p)
-    dead = np.all(_edge_diff(g, arr) == 0.0, axis=0)
-    if np.all(dead):
-        return np.zeros_like(arr)
-    if np.any(dead):
-        return _on_live(lambda a: p_laplacian_arr(g, a, p), arr, dead)
-    gn = grad_norm_arr(g, arr)
-    return weighted_p_lap_arr(g, arr, power_coeff(gn, p))
+    return 0.0 - poly_lap_apply_arr(g, arr, 1, p)  # L_{1,p} = -Delta_p; a constant gives +0.0
 
 
 def signed_power(arr: np.ndarray, p: float) -> np.ndarray:

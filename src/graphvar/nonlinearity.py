@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParam, InconsistentDerivative
-from .graph import WeightedGraph, doc_number
+from .graph import WeightedGraph, _doc_id, doc_number
 
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -339,8 +339,8 @@ def tabulated_model(s_grid, t_grid, values, name: str = "table") -> Nonlinearity
 def nonlinearity_from_doc(doc: dict) -> NonlinearityModel:
     """Build a model from its JSON document: a named builtin or a table."""
     if "builtin" in doc:
-        params = {name: value if name == "support" else
-                  doc_number(value, f"nonlinearity parameter {name!r}")
+        params = {name: (_doc_id if name == "support" else doc_number)(
+                      value, f"nonlinearity parameter {name!r}")
                   for name, value in doc.get("params", {}).items()}
         kind = doc["builtin"]
         if kind == "example_6_1":

@@ -26,6 +26,7 @@ from .functionals import Problem, ProblemSpec, ScalarProblem
 from .graph import (
     VertexFunction,
     WeightedGraph,
+    _doc_id,
     build_graph,
     doc_number,
     function_from_doc,
@@ -162,7 +163,7 @@ def problem_from_doc(doc: dict) -> PreparedProblem:
         return PreparedProblem(
             key=doc.get("name", "custom"), problem=prob, mode=mode,
             gammas=gammas, deltas=deltas,
-            x0=str(doc["x0"]) if "x0" in doc else None,
+            x0=_doc_id(doc["x0"], "x0") if "x0" in doc else None,
             h0=doc_number(doc["h0"], "h0") if "h0" in doc else None,
             mu0=doc_number(doc["mu0"], "mu0") if "mu0" in doc else None)
     except KeyError as exc:

@@ -763,7 +763,10 @@ def find_three(prob: Problem, lam: float, cfg: SolverConfig,
     between the multistart's two points (see the module docstring).
     If fewer than three points come back, the search runs on the problem,
     with the lifted points as known ones; its outcomes follow the
-    quotient's.
+    quotient's.  The quotient's first three points need not hold the global
+    minimizer: on example-6.1 at seeds 3, 4 (lam 0.15) and 4 (lam 0.3) they
+    are the shallow minimizer and two symmetric saddles, without the deep
+    minimizer (action -1.1597e6, -1.0654e7) the full-space search returned.
 
     The caller is responsible for choosing lam inside a valid admissible
     interval; outside it, fewer points are expected and documented.

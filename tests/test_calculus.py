@@ -176,6 +176,7 @@ def test_p_laplacian_constant_short_circuits_without_warning(p2):
         warnings.simplefilter("error")
         out = gv.p_laplacian(p2, c, 1.5)
     assert np.all(out.values == 0.0)
+    assert not np.any(np.signbit(out.values))  # `op p_laplacian` writes 0.0, not -0.0
 
 
 def test_p_laplacian_regularizes_vanishing_gradient_below_p2():

@@ -628,9 +628,14 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys, flags, want):
     # a NaN table value passed the table checks and failed later as an overflow
     (_scalar_problem_doc, "nonlinearity",
      {"table": {"s": [0.0, 1.0], "t": [0.0, 1.0], "values": [[0.0, 0.0], [float("nan"), 1.0]]}},
-     "table 'table' has a node or value that is not finite")],
+     "table 'table' has a node or value that is not finite"),
+    # a bool x0 and an int support read as the vertex ids "True" and "5"
+    (_scalar_problem_doc, "x0", True, "x0 must be a string, got True"),
+    (_scalar_problem_doc, "nonlinearity", {"builtin": "example_6_2",
+                                           "params": {"omega": 2.0, "support": 5}},
+     "nonlinearity parameter 'support' must be a string, got 5")],
     ids=["p", "gamma", "const", "bool-potential", "mu0", "radius", "q", "delta2",
-         "values", "omega1", "nan-table-value"])
+         "values", "omega1", "nan-table-value", "bool-x0", "int-support"])
 def test_problem_document_non_number_exits_2(tmp_path, capsys, make_doc, field, bad, want):
     doc = make_doc()
     ppath, out = tmp_path / "problem.json", tmp_path / "rep.json"

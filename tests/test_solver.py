@@ -718,6 +718,9 @@ def test_work_of_one_solve(monkeypatch):
 # Full solution-set text of two solves that reach deflation; a solve that
 # moves in any digit fails here.
 PINS = Path(__file__).parent / "pins"
+# the example-6.2 solve below writes the bytes of its acceptance solve
+SOLVE_PINS = {"example-6.1": PINS / "solve-example-6.1.json",
+              "example-6.2": PINS / "accept-example-6.2-1.0.json"}
 
 
 @pytest.mark.parametrize("key, lam, seed, starts", [("example-6.1", 0.3, 7, 6),
@@ -726,7 +729,7 @@ def test_find_three_matches_pin(key, lam, seed, starts):
     prep = builtin_problem(key)
     sset = gv.find_three(prep.problem, lam, gv.SolverConfig(seed=seed, starts=starts),
                          start_radius=1.0 + max(prep.deltas))
-    assert solution_set_to_json(sset) == (PINS / f"solve-{key}.json").read_text()
+    assert solution_set_to_json(sset) == SOLVE_PINS[key].read_text()
     # the stopping rule first stops at N = 8, past these caps: every start resolves
     assert [index for phase, index, _, _ in sset.outcomes if phase == "start"] == list(
         range(starts + 1))
@@ -760,7 +763,7 @@ def test_discrete_partition_solve_matches_pin(prep61):
 @pytest.mark.parametrize("key", ["example-6.1", "example-6.2"])
 def test_solution_set_document_round_trips(key):
     # example-6.2 is a scalar solution set, example-6.1 a coupled one
-    text = (PINS / f"solve-{key}.json").read_text()
+    text = SOLVE_PINS[key].read_text()
     prep = builtin_problem(key)
     sset = solver.solution_set_from_doc(prep.problem, json.loads(text))
     state = sset.points[0].state
